@@ -1,0 +1,123 @@
+"""Golden porcelain corpus: CLI output that refactors must leave byte-identical.
+
+Each case runs `heisvir ... --porcelain` in-process and compares standard
+output with `tests/golden/<name>.out`.  The cases are the README CLI
+examples, one `act` per module variant with that variant's README key form,
+and two normal forms with a constant term.
+
+Re-record (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+
+import pytest
+
+from heisvir.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    # README examples
+    "readme_bracket": ["bracket", "d(2)", "d(-2)"],
+    "readme_normalize": ["normalize", "d(1)*d(-1) - 2*d(0)"],
+    "readme_jacobi": ["jacobi", "--bound", "6"],
+    "readme_sigma_check": ["sigma-check", "--a=-2=2,-1=1", "--b", "3", "--bound", "4"],
+    "readme_rho": ["rho", "--params", "(a=1/2,b=0,F=0)", "d(-1)"],
+    "readme_whittaker_simple": ["whittaker-simple", "--params", "(m=1,phi.z3=0,phi.I1=0)"],
+    "readme_tensor_gens": ["tensor-simple", "--params", "(a=1,b=0,F=0)", "--gens", "d(-1)"],
+    "readme_tensor_search": [
+        "tensor-simple",
+        "--params",
+        "(I0dot=0,d0dot=3,z2dot=1,z3dot=0,a=1/2,b=0,F=0)",
+        "--search-degree",
+        "3",
+    ],
+    "readme_singular": ["singular", "--params", "(I0dot=0,d0dot=7/3,z2dot=1,z3dot=0)", "--degree", "1"],
+    "readme_whittaker_vector": ["whittaker-vector", "--params", "(m=1,phi.I1=0,phi.z3=0)"],
+    "readme_membership": ["membership", "--params", "(a=1,b=0,F=0)", "--n", "-2", "--buffer", "2", "d(-1)"],
+    "readme_module_check": [
+        "module-check",
+        "--module",
+        "omega",
+        "--params",
+        "(lambda=1,d0dot=2,I0dot=3)",
+        "--bound",
+        "3",
+        "--window",
+        "10",
+    ],
+    "readme_act": ["act", "--module", "verma", "--params", "(I0dot=3,d0dot=5/2,z2dot=1/2)", "d(1)", "d(-1)"],
+    # one act per module variant, each with its README key form
+    "act_verma": ["act", "--module", "verma", "--params", "(I0dot=3,d0dot=5/2,z2dot=1/2)", "d(1)", "I(-1)^2*d(-1)"],
+    "act_iseries": ["act", "--module", "iseries", "--params", "(a=1/2,b=2,F=3)", "d(1) + 2*I(-2)", "x^3"],
+    "act_fock": ["act", "--module", "fock", "--params", "(I0dot=1,z2dot=1/2,z3dot=2)", "d(-1) + d(1)", "I(-1)^2"],
+    "act_whittaker": [
+        "act",
+        "--module",
+        "whittaker",
+        "--params",
+        "(m=1,phi.d1=2,phi.d2=1/3,phi.I0=1,phi.I1=5,phi.z3=2)",
+        "d(1)*I(-1)",
+        "I(-1)*d(0)",
+    ],
+    "act_shifted": [
+        "act",
+        "--module",
+        "shifted",
+        "--params",
+        "(I0dot=1,d0dot=2,z2dot=1,z3dot=1,a=1/2,b=0,F=1)",
+        "d(1)*d(-1)",
+        "I(-1)@y^2",
+    ],
+    "act_omega": ["act", "--module", "omega", "--params", "(lambda=2,d0dot=1/3,I0dot=3)", "d(1) + I(2)", "2"],
+    "act_embedded": [
+        "act",
+        "--module",
+        "embedded",
+        "--params",
+        "(r=1,mu1=1,mu2=2,kappa0=3,kappa1=1/2,lambda=2)",
+        "d(1)",
+        "1,1",
+    ],
+    "act_wmukappa": [
+        "act",
+        "--module",
+        "wmukappa",
+        "--params",
+        "(r=1,mu1=1,mu2=2,kappa0=3,kappa1=1/2)",
+        "d(1)",
+        "d(-1)*d(0)",
+    ],
+    # normal forms with a constant term
+    "normalize_constant_first": ["normalize", "I(1)*I(-1) + 1/2"],
+    "normalize_constant_leading": ["normalize", "2 - d(1)*d(-1)*d(1)"],
+}
+
+
+def porcelain(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--porcelain"])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_porcelain(name):
+    code, out = porcelain(CASES[name])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = porcelain(argv)
+        if code != 0:
+            raise SystemExit("%s exited %d" % (name, code))
+        with open(os.path.join(GOLDEN, name + ".out"), "w", encoding="utf-8") as fh:
+            fh.write(out)
