@@ -12,7 +12,9 @@ Structure constants:
     [z_i, anything] = 0
 
 Generators are plain tuples ('d', n), ('I', n), ('z', i) so they can be used
-directly as dict keys; LieElement wraps a sparse generator -> Fraction map.
+directly as dict keys.  SparseVector is the one sparse key -> Fraction map of
+the package, and axpy its one accumulate loop; LieElement, pbw.UEAElement and
+modules.ModuleVector are thin subclasses of it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 Q = Fraction
+ONE = Q(1)
 
 Generator = tuple  # ('d', n) | ('I', n) | ('z', i)
 
@@ -75,11 +78,29 @@ def gen_str(g: Generator) -> str:
     return "%s(%d)" % (kind, n)
 
 
-class LieElement:
-    """Finite rational linear combination of basis generators.
+def axpy(out: dict, c, table) -> dict:
+    """out += c * table on sparse key -> coefficient maps; cancelled keys are dropped.
 
-    Immutable by convention; no zero coefficients are stored, and equality
-    is structural on the pruned sparse map.
+    This is the one accumulate loop of the package.  out is updated in place
+    and returned; table is only read.
+    """
+    for k, v in table.items():
+        old = out.get(k)
+        s = c * v if old is None else old + c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+class SparseVector:
+    """Finite rational linear combination of basis keys.
+
+    Immutable by convention; no zero coefficient is stored, every stored
+    coefficient is a Fraction, and equality is structural on the sparse map.
+    Subclasses supply the key order (key_order) and the key names (key_str);
+    a key printed as "1" is the unit and prints as its bare coefficient.
     """
 
     __slots__ = ("coeffs",)
@@ -87,11 +108,25 @@ class LieElement:
     def __init__(self, coeffs=None):
         pruned = {}
         if coeffs:
-            for g, c in coeffs.items():
+            for k, c in coeffs.items():
                 c = Q(c)
                 if c:
-                    pruned[g] = c
+                    pruned[k] = c
         self.coeffs = pruned
+
+    @classmethod
+    def _trusted(cls, coeffs):
+        """Wrap an already pruned map of Fractions without coercing it."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    def _new(self, coeffs):
+        """A vector of the same space as self, holding a trusted map."""
+        return self._trusted(coeffs)
+
+    def _check(self, other):
+        """Raise if other cannot be combined with self."""
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -100,32 +135,29 @@ class LieElement:
         return not self.coeffs
 
     def __eq__(self, other):
-        return isinstance(other, LieElement) and self.coeffs == other.coeffs
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            s = out.get(g, 0) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return LieElement(out)
+        self._check(other)
+        return self._new(axpy(dict(self.coeffs), ONE, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        self._check(other)
+        return self._new(axpy(dict(self.coeffs), -ONE, other.coeffs))
 
     def __neg__(self):
-        return (-1) * self
+        return self._new({k: -c for k, c in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         scalar = Q(scalar)
         if not scalar:
-            return LieElement()
-        return LieElement({g: scalar * c for g, c in self.coeffs.items()})
+            return self._new({})
+        return self._new({k: scalar * c for k, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
         return self.__rmul__(scalar)
@@ -134,18 +166,26 @@ class LieElement:
         return self.coeffs.items()
 
     def support(self):
-        return sorted(self.coeffs, key=gen_order_key)
+        return sorted(self.coeffs, key=self.key_order)
 
     def __repr__(self):
-        return "LieElement(%s)" % str(self)
+        return "%s(%s)" % (type(self).__name__, self)
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for g in self.support():
-            c = self.coeffs[g]
-            term = gen_str(g) if c == 1 else ("-" + gen_str(g) if c == -1 else "%s*%s" % (c, gen_str(g)))
+        for k in self.support():
+            c = self.coeffs[k]
+            ks = self.key_str(k)
+            if ks == "1":
+                term = str(c)
+            elif c == 1:
+                term = ks
+            elif c == -1:
+                term = "-" + ks
+            else:
+                term = "%s*%s" % (c, ks)
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):
@@ -155,24 +195,28 @@ class LieElement:
         return " ".join(parts)
 
 
+class LieElement(SparseVector):
+    """Finite rational linear combination of basis generators."""
+
+    __slots__ = ()
+    key_order = staticmethod(gen_order_key)
+    key_str = staticmethod(gen_str)
+
+
 ZERO = LieElement()
 
 
 def lie(g: Generator) -> LieElement:
     """The basis generator g as a LieElement."""
-    return LieElement({g: Q(1)})
+    return LieElement._trusted({g: ONE})
 
 
 def lie_sum(*terms) -> LieElement:
     """Sum of (coefficient, generator) pairs."""
     out = {}
     for c, g in terms:
-        s = out.get(g, 0) + Q(c)
-        if s:
-            out[g] = s
-        else:
-            out.pop(g, None)
-    return LieElement(out)
+        axpy(out, Q(c), {g: ONE})
+    return LieElement._trusted(out)
 
 
 def bracket_gens(x: Generator, y: Generator) -> LieElement:
@@ -181,30 +225,24 @@ def bracket_gens(x: Generator, y: Generator) -> LieElement:
     ky, m = y
     if kx == "z" or ky == "z":
         return ZERO
-    if kx == "d" and ky == "d":
-        terms = []
-        if m != n:
-            terms.append((m - n, d(n + m)))
-        if n == -m:
-            c = Q(n**3 - n, 12)
-            if c:
-                terms.append((c, Z1))
-        return lie_sum(*terms)
-    if kx == "d" and ky == "I":
-        terms = []
-        if m != 0:
-            terms.append((m, I(n + m)))
-        if n == -m:
-            c = n * n + n
-            if c:
-                terms.append((c, Z2))
-        return lie_sum(*terms)
     if kx == "I" and ky == "d":
-        return -1 * bracket_gens(y, x)
-    # I-I pair
-    if n == -m and n != 0:
-        return lie_sum((n, Z3))
-    return ZERO
+        return -bracket_gens(y, x)
+    # the two terms of each bracket have distinct generators, so no accumulation
+    out = {}
+    if kx == "d" and ky == "d":
+        if m != n:
+            out[d(n + m)] = Q(m - n)
+        if n == -m and n**3 != n:
+            out[Z1] = Q(n**3 - n, 12)
+    elif kx == "d":
+        if m != 0:
+            out[I(n + m)] = Q(m)
+        if n == -m and n * n + n:
+            out[Z2] = Q(n * n + n)
+    elif n == -m and n != 0:
+        # I-I pair
+        out[Z3] = Q(n)
+    return LieElement._trusted(out)
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -212,13 +250,8 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     out = {}
     for gx, cx in x.items():
         for gy, cy in y.items():
-            for g, c in bracket_gens(gx, gy).items():
-                s = out.get(g, 0) + cx * cy * c
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
-    return LieElement(out)
+            axpy(out, cx * cy, bracket_gens(gx, gy).coeffs)
+    return LieElement._trusted(out)
 
 
 def ad_weight(x):
@@ -324,10 +357,10 @@ def sigma_gen(spec: AutomorphismSpec, g: Generator) -> LieElement:
 
 def apply_sigma(spec: AutomorphismSpec, x: LieElement) -> LieElement:
     """Linear extension of sigma_{a,b} to arbitrary elements."""
-    out = LieElement()
+    out = {}
     for g, c in x.items():
-        out = out + c * sigma_gen(spec, g)
-    return out
+        axpy(out, c, sigma_gen(spec, g).coeffs)
+    return LieElement._trusted(out)
 
 
 def sigma_hom_check(spec: AutomorphismSpec, index_bound: int):

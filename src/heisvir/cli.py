@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations_with_replacement
 
 from . import criteria, linsearch, params as paramsmod
 from .algebra import AutomorphismSpec, bracket, jacobi_check, sigma_hom_check
@@ -42,7 +43,7 @@ from .modules import (
     act_uea,
     module_axiom_check,
 )
-from .pbw import UNIT, negative_part_basis
+from .pbw import UNIT, mono_of_sorted_word, negative_part_basis
 
 USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
@@ -151,10 +152,7 @@ def _window_keys(module, size: int):
     keys = [UNIT]
     for deg in range(1, size + 1):
         if isinstance(module, WMuKappaModule):
-            keys += [
-                m
-                for m in _wmukappa_window(module, deg)
-            ]
+            keys += _wmukappa_window(module, deg)
         elif isinstance(module, FockModule):
             keys += negative_part_basis(deg, restrict=lambda g: g[0] == "I")
         elif isinstance(module, WhittakerModule):
@@ -165,40 +163,16 @@ def _window_keys(module, size: int):
 
 
 def _wmukappa_window(module, deg):
-    from itertools import combinations_with_replacement
-
+    # the generators are listed in PBW order, so every combination is a sorted word
     gens = [("d", j) for j in range(-1, module.r)]
-    out = []
-    for combo in combinations_with_replacement(gens, deg):
-        word = tuple(sorted(combo, key=lambda g: g[1]))
-        mono = []
-        for g in word:
-            if mono and mono[-1][0] == g:
-                mono[-1] = (g, mono[-1][1] + 1)
-            else:
-                mono.append((g, 1))
-        out.append(tuple(mono))
-    return out
+    return [mono_of_sorted_word(word) for word in combinations_with_replacement(gens, deg)]
 
 
 def _whittaker_window(module, deg):
     # low-lying complement monomials: words in I(-1), d(j) (j < m) of the
-    # given length, enough for a spot check
-    from itertools import combinations_with_replacement
-
+    # given length, enough for a spot check; listed in PBW order as above
     gens = [("I", -1)] + [("d", j) for j in range(0, module.character.m)]
-    gens.sort(key=lambda g: (g[0] != "I", g[1]))
-    out = []
-    for combo in combinations_with_replacement(range(len(gens)), deg):
-        word = tuple(gens[i] for i in combo)
-        mono = []
-        for g in word:
-            if mono and mono[-1][0] == g:
-                mono[-1] = (g, mono[-1][1] + 1)
-            else:
-                mono.append((g, 1))
-        out.append(tuple(mono))
-    return out
+    return [mono_of_sorted_word(word) for word in combinations_with_replacement(gens, deg)]
 
 
 def _parse_sigma_coeffs(text: str) -> dict:
@@ -215,9 +189,8 @@ def _parse_sigma_coeffs(text: str) -> dict:
 
 
 def _cmd_bracket(args, out):
-    x = parse_lie(args.x)
-    y = parse_lie(args.y)
-    out.line("result", bracket(x, y), human=str(bracket(x, y)))
+    result = bracket(parse_lie(args.x), parse_lie(args.y))
+    out.line("result", result, human=str(result))
     return 0
 
 

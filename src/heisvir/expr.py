@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Q, LieElement, gen_str
+from .algebra import Q, LieElement, axpy, gen_str
 from .errors import ExprError, IntegerOverflow
-from .pbw import UEAElement, normal_form
+from .pbw import UEAElement, straighten
 
 MAX_INDEX = 2**31 - 1
 
@@ -242,12 +242,7 @@ def to_words(e):
     if isinstance(e, Sum):
         out = {}
         for sign, term in e.terms:
-            for w, c in to_words(term).items():
-                s = out.get(w, 0) + sign * c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            axpy(out, Q(sign), to_words(term))
         return out
     raise TypeError("not an expression node: %r" % (e,))
 
@@ -255,36 +250,25 @@ def to_words(e):
 def _word_product(a, b):
     out = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            s = out.get(w, 0) + ca * cb
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        axpy(out, ca, {wa + wb: cb for wb, cb in b.items()})
     return out
 
 
 def to_uea(e) -> UEAElement:
     """Lower a tree to the enveloping algebra (normal form)."""
-    out = UEAElement()
-    for w, c in to_words(e).items():
-        out = out + c * normal_form(w)
-    return out
+    return straighten(to_words(e))
 
 
 def to_lie(e) -> LieElement:
     """Lower a tree to a Lie element; products of generators are rejected."""
-    coeffs = {}
-    for w, c in to_words(e).items():
-        if len(w) == 0:
-            if c:
-                raise ExprError("constant terms have no Lie meaning")
-            continue
+    words = to_words(e)
+    for w, c in words.items():
+        if len(w) == 0 and c:
+            raise ExprError("constant terms have no Lie meaning")
         if len(w) > 1:
             raise ExprError("products of generators are not Lie elements")
-        coeffs[w[0]] = coeffs.get(w[0], Q(0)) + c
-    return LieElement(coeffs)
+    # distinct one-letter words are distinct generators
+    return LieElement({w[0]: c for w, c in words.items() if w})
 
 
 def parse_uea(text: str) -> UEAElement:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Q, I, bracket, d, lie
+from .algebra import ONE, Q, I, axpy, bracket, d, lie
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
 from .modules import (
     HWParams,
@@ -177,18 +177,9 @@ def weight_basis(degree: int):
     return negative_part_basis(degree)
 
 
+# these generate the positive part, since [d(1), d(k)] = (k-1) d(k+1) and
+# [d(1), I(k)] = k I(k+1); check_positive_generation verifies it on a window
 POSITIVE_GENERATORS = (d(1), d(2), I(1))
-
-_generation_validated = False
-
-
-def _ensure_positive_generation(window: int = 8):
-    """Validate once per process that the three seed generators suffice."""
-    global _generation_validated
-    if not _generation_validated:
-        if not check_positive_generation(window):
-            raise AssertionError("d(1), d(2), I(1) failed to generate the positive part")
-        _generation_validated = True
 
 
 def check_positive_generation(window: int) -> bool:
@@ -246,7 +237,6 @@ def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    _ensure_positive_generation()
     module = VermaModule(hw)
     src = weight_basis(degree)
     rows = []
@@ -289,13 +279,7 @@ class _SpanReducer:
             if lead is None:
                 return vec
             rowmap = self.pivot_by_lead[lead]
-            f = vec[lead] / rowmap[lead]
-            for k2, v2 in rowmap.items():
-                nv = vec.get(k2, Q(0)) - f * v2
-                if nv:
-                    vec[k2] = nv
-                else:
-                    vec.pop(k2, None)
+            axpy(vec, -vec[lead] / rowmap[lead], rowmap)
 
     def insert(self, vecmap):
         red = self.reduce(vecmap)
@@ -383,11 +367,9 @@ def whittaker_vector_search(char: WhittakerCharacter) -> SearchResult:
     for ci, gen in enumerate(conditions):
         phi_val = char.value(gen)
         for j, mono in enumerate(ansatz):
-            image = dict(module.act_gen(gen, mono))
-            image[mono] = image.get(mono, Q(0)) - phi_val
+            image = axpy(dict(module.act_gen(gen, mono)), -phi_val, {mono: ONE})
             for key, c in image.items():
-                if c:
-                    rows.setdefault((ci, key), [Q(0)] * len(ansatz))[j] = c
+                rows.setdefault((ci, key), [Q(0)] * len(ansatz))[j] = c
     M = MatrixQ(list(rows.values()) or [[Q(0)] * len(ansatz)])
     vectors = []
     for vec in nullspace(M):
@@ -429,13 +411,7 @@ class MembershipTester:
             if lead is None:
                 return vec
             rowmap = self.pivot_by_lead[lead][0]
-            f = vec[lead] / rowmap[lead]
-            for k2, v2 in rowmap.items():
-                nv = vec.get(k2, Q(0)) - f * v2
-                if nv:
-                    vec[k2] = nv
-                else:
-                    vec.pop(k2, None)
+            axpy(vec, -vec[lead] / rowmap[lead], rowmap)
 
     def _extend(self, depth: int):
         while self.depth < depth:

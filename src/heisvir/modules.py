@@ -1,9 +1,12 @@
 """The module zoo: induced modules and closed-form actions.
 
-Two engines cover everything.  A generic induced-module evaluator (subalgebra
-membership + character) powers the Verma, Whittaker and polynomial-subalgebra
-modules; the remaining variants (intermediate series, Fock oscillator, shifted
+The Verma, Whittaker and polynomial-subalgebra (w_mu_kappa) modules are
+induced modules: each is the straightening kernel pbw.LeftAction with its own
+subalgebra and character, so they share one algorithm with the PBW normal
+form.  The remaining variants (intermediate series, Fock oscillator, shifted
 tensor, the two shift-embedded families) act through explicit formulas.
+Vectors of every variant are ModuleVectors, the sparse-vector core of
+algebra.SparseVector tied to their module.
 
 Basis keys are per-variant:
 
@@ -24,8 +27,11 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (
+    ONE,
     Q,
     Generator,
+    SparseVector,
+    axpy,
     basis_window,
     bracket_gens,
     d,
@@ -41,6 +47,7 @@ from .errors import (
     UnsupportedGenerator,
 )
 from .pbw import (
+    LeftAction,
     Monomial,
     UEAElement,
     UNIT,
@@ -189,26 +196,23 @@ class Module:
         return ModuleVector(self, {coeffs: Q(1)})
 
 
-class ModuleVector:
-    """Sparse vector in a fixed module; keys are per-variant basis labels."""
+class ModuleVector(SparseVector):
+    """Sparse vector in a fixed module; keys are per-variant basis labels.
 
-    __slots__ = ("module", "coeffs")
+    Vectors of different modules never combine (MixedModules) and never
+    compare equal; a vector is unhashable.
+    """
+
+    __slots__ = ("module",)
 
     def __init__(self, module: Module, coeffs=None):
+        super().__init__(coeffs)
         self.module = module
-        pruned = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Q(c)
-                if c:
-                    pruned[k] = c
-        self.coeffs = pruned
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
+    def _new(self, coeffs):
+        out = self._trusted(coeffs)
+        out.module = self.module
+        return out
 
     def _check(self, other):
         if self.module is not other.module:
@@ -219,56 +223,11 @@ class ModuleVector:
             return NotImplemented
         return self.module is other.module and self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return ModuleVector(self.module, out)
+    def key_order(self, key):
+        return self.module.key_sort(key)
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = Q(scalar)
-        if not scalar:
-            return ModuleVector(self.module)
-        return ModuleVector(self.module, {k: scalar * c for k, c in self.coeffs.items()})
-
-    def __mul__(self, scalar):
-        return self.__rmul__(scalar)
-
-    def items(self):
-        return self.coeffs.items()
-
-    def support(self):
-        return sorted(self.coeffs, key=self.module.key_sort)
-
-    def __repr__(self):
-        return "ModuleVector(%s)" % str(self)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in self.support():
-            c = self.coeffs[k]
-            ks = self.module.key_str(k)
-            term = ks if c == 1 else ("-" + ks if c == -1 else "%s*%s" % (c, ks))
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append("- " + term[1:])
-            else:
-                parts.append("+ " + term)
-        return " ".join(parts)
+    def key_str(self, key):
+        return self.module.key_str(key)
 
 
 def act(x, v: ModuleVector) -> ModuleVector:
@@ -281,24 +240,19 @@ def act(x, v: ModuleVector) -> ModuleVector:
         if not module.supports(g):
             raise UnsupportedGenerator("%s does not act on %s" % (gen_str(g), module.name))
         for key, cv in v.items():
-            for k2, c2 in module.act_gen(g, key).items():
-                s = out.get(k2, 0) + cg * cv * c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
-    return ModuleVector(module, out)
+            axpy(out, cg * cv, module.act_gen(g, key))
+    return v._new(out)
 
 
 def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
     """Action of an enveloping-algebra element: fold each monomial right to left."""
-    out = ModuleVector(v.module)
+    out = {}
     for mono, c in u.items():
         cur = v
         for g in reversed(word_of(mono)):
             cur = act(g, cur)
-        out = out + c * cur
-    return out
+        axpy(out, c, cur.coeffs)
+    return v._new(out)
 
 
 def module_axiom_check(module: Module, index_bound: int, window):
@@ -322,59 +276,19 @@ def module_axiom_check(module: Module, index_bound: int, window):
     return violations
 
 
-class InducedModule(Module):
+class InducedModule(LeftAction, Module):
     """Module induced from a character of a subalgebra.
 
     Basis keys are PBW monomials over the complement generators, read as
-    acting on the cyclic vector.  The action is evaluated recursively:
-    straighten one generator through the leading factor and absorb
-    subalgebra generators on the cyclic vector through the character.
+    acting on the cyclic vector.  The action is the straightening kernel
+    pbw.LeftAction: subclasses name the subalgebra (in_subalgebra) and its
+    character (char), which absorbs subalgebra generators on the cyclic
+    vector.
     """
 
-    def in_subalgebra(self, g: Generator) -> bool:
-        raise NotImplementedError
-
-    def char(self, g: Generator) -> Q:
-        raise NotImplementedError
-
-    def __init__(self):
-        self._memo = {}
-
-    def act_gen(self, g: Generator, key: Monomial):
-        cached = self._memo.get((g, key))
-        if cached is not None:
-            return cached
-        if key == UNIT:
-            if self.in_subalgebra(g):
-                c = self.char(g)
-                out = {UNIT: c} if c else {}
-            else:
-                out = {((g, 1),): Q(1)}
-            self._memo[(g, key)] = out
-            return out
-        word = word_of(key)
-        head = word[0]
-        if not self.in_subalgebra(g) and gen_order_key(g) <= gen_order_key(head):
-            out = {mono_of_sorted_word((g,) + word): Q(1)}
-            self._memo[(g, key)] = out
-            return out
-        rest = mono_of_sorted_word(word[1:])
-        out = {}
-
-        def accumulate(table, c):
-            for k2, c2 in table.items():
-                s = out.get(k2, 0) + c * c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
-
-        for k2, c2 in self.act_gen(g, rest).items():
-            accumulate(self.act_gen(head, k2), c2)
-        for g2, cb in bracket_gens(g, head).items():
-            accumulate(self.act_gen(g2, rest), cb)
-        self._memo[(g, key)] = out
-        return out
+    # bound in this class as well as inherited, so that code wrapping
+    # InducedModule.act_gen (the benchmark's call counter) sees every call
+    act_gen = LeftAction.act_gen
 
     def key_sort(self, key):
         return mono_sort_key(key)
@@ -522,12 +436,7 @@ class FockModule(Module):
     def _apply_heis(self, n: int, table):
         out = {}
         for k, c in table.items():
-            for k2, c2 in self._heis(n, k).items():
-                s = out.get(k2, 0) + c * c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
+            axpy(out, c, self._heis(n, k))
         return out
 
     def d_action(self, k: int, key: Monomial, extra: int = 0):
@@ -538,28 +447,16 @@ class FockModule(Module):
         """
         n_deg = -mono_weight(key)
         bound = n_deg + abs(k) + 1 + extra
+        coeff = Q(-1, 2) / self.z3
         out = {}
         for i in range(-bound, bound + 1):
             pair = (-i, i + k)
             first, second = max(pair), min(pair)
-            table = self._apply_heis(second, self._heis(first, key))
-            for k2, c2 in table.items():
-                s = out.get(k2, 0) + c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
-        coeff = Q(-1, 2) / self.z3
-        result = {k2: coeff * c2 for k2, c2 in out.items()}
+            axpy(out, coeff, self._apply_heis(second, self._heis(first, key)))
         lin = (k + 1) * self.z2 / self.z3
         if lin:
-            for k2, c2 in self._heis(k, key).items():
-                s = result.get(k2, 0) + lin * c2
-                if s:
-                    result[k2] = s
-                else:
-                    result.pop(k2, None)
-        return result
+            axpy(out, lin, self._heis(k, key))
+        return out
 
     def act_gen(self, g: Generator, key: Monomial):
         cached = self._memo.get((g, key))
@@ -629,14 +526,12 @@ class ShiftedTensorModule(Module):
             c = (self.hw.z1, self.hw.z2, self.hw.z3)[n - 1]
             return {key: c} if c else {}
         k = mono_weight(mono)
-        inner = dict(self.inner.act_gen(g, mono))
         if kind == "d":
             extra = -k + self.isp.a + i + n * self.isp.b
         else:
             extra = self.isp.F
-        if extra:
-            inner[mono] = inner.get(mono, Q(0)) + extra
-        return {(m2, i + n): c for m2, c in inner.items() if c}
+        inner = axpy(dict(self.inner.act_gen(g, mono)), extra, {mono: ONE})
+        return {(m2, i + n): c for m2, c in inner.items()}
 
     def key_sort(self, key):
         mono, i = key
@@ -681,25 +576,12 @@ class OmegaModule(Module):
         kind, n = g
         if kind == "z":
             return {}
-        out = {}
+        shifted = self._shift_pow(key, n)
+        if kind == "I":
+            return axpy({}, self.lam ** (n + 1) * self.b2, shifted)
         lam_n = self.lam**n
-        for k, c in self._shift_pow(key, n).items():
-            if kind == "d":
-                terms = {k + 1: lam_n * c}
-                extra = lam_n * c * n * self.b1
-                if extra:
-                    terms[k] = terms.get(k, Q(0)) + extra
-            else:
-                terms = {k: self.lam ** (n + 1) * self.b2 * c}
-            for k2, c2 in terms.items():
-                if not c2:
-                    continue
-                s = out.get(k2, 0) + c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
-        return out
+        out = axpy({}, lam_n, {k + 1: c for k, c in shifted.items()})
+        return axpy(out, lam_n * n * self.b1, shifted)
 
     def key_str(self, key):
         return "v" if key == 0 else "d0^%d(v)" % key
@@ -721,7 +603,7 @@ def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
         raise MixedModules("embedded_action expects a vector of the induced polynomial-subalgebra module")
     if is_generator(x):
         x = lie(x)
-    out = ModuleVector(wm)
+    out = {}
     maxdeg = max((mono_degree(k) for k in v.coeffs), default=0)
     for g, cg in x.items():
         kind, n = g
@@ -731,63 +613,13 @@ def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
             for q in range(0, wm.r + maxdeg + 1):
                 c = gen_binom(n, q) * lam ** (n - q)
                 if c:
-                    out = out + (cg * c) * act(("I", q), v)
+                    axpy(out, cg * c, act(("I", q), v).coeffs)
         else:
             for q in range(0, 2 * wm.r + 1 + maxdeg + 1):
                 c = gen_binom(n + 1, q) * lam ** (n + 1 - q)
                 if c:
-                    out = out + (cg * c) * act(("d", q - 1), v)
-    return out
-
-
-def example33_action(mu, kappa, lam, g: Generator, key):
-    """Closed-form action on the (i, j) basis of the r = 1 embedded module.
-
-    Independent of embedded_action; kept as a cross-check path.  mu is
-    (mu_1, mu_2), kappa is (kappa_0, kappa_1).
-    """
-    lam = Q(lam)
-    if lam == 0:
-        raise LambdaZero("the embedding parameter must be nonzero")
-    mu1, mu2 = Q(mu[0]), Q(mu[1])
-    k0, k1 = Q(kappa[0]), Q(kappa[1])
-    i, j = key
-    kind, m = g
-    out = {}
-
-    def add(k2, c):
-        if not c:
-            return
-        s = out.get(k2, 0) + c
-        if s:
-            out[k2] = s
-        else:
-            out.pop(k2, None)
-
-    outer = {k: gen_binom(i, k) * Q(-m) ** (i - k) for k in range(i + 1)}
-    if kind == "z":
-        return {}
-    if kind == "I":
-        inner1 = {l: gen_binom(j, l) * Q(-1) ** (j - l) for l in range(j + 1)}
-        for k, ck in outer.items():
-            add((k, j), lam**m * k0 * ck)
-            for l, cl in inner1.items():
-                add((k, l), m * lam ** (m - 1) * k1 * ck * cl)
-        return out
-    inner1 = {l: gen_binom(j, l) * Q(-1) ** (j - l) for l in range(j + 1)}
-    inner2 = {l: gen_binom(j, l) * Q(-2) ** (j - l) for l in range(j + 1)}
-    for k, ck in outer.items():
-        add((k + 1, j), lam**m * ck)
-        add((k, j + 1), m * lam**m * ck)
-        c1 = Q(m * m + m, 2) * lam ** (m - 1) * mu1 * ck
-        if c1:
-            for l, cl in inner1.items():
-                add((k, l), c1 * cl)
-        c2 = Q(m**3 - m, 6) * lam ** (m - 2) * mu2 * ck
-        if c2:
-            for l, cl in inner2.items():
-                add((k, l), c2 * cl)
-    return out
+                    axpy(out, cg * c, act(("d", q - 1), v).coeffs)
+    return v._new(out)
 
 
 class EmbeddedModule(Module):
@@ -844,14 +676,9 @@ class EmbeddedModule(Module):
             mono, c = max(rest.items(), key=lambda item: self._split(item[0]))
             s, t = self._split(mono)
             coeff = c / self.lam**s
-            out[(s, t)] = out.get((s, t), Q(0)) + coeff
-            for m2, c2 in self._plain((s, t)).items():
-                v = rest.get(m2, Q(0)) - coeff * c2
-                if v:
-                    rest[m2] = v
-                else:
-                    rest.pop(m2, None)
-        return {k: c for k, c in out.items() if c}
+            axpy(out, coeff, {(s, t): ONE})
+            axpy(rest, -coeff, self._plain((s, t)).coeffs)
+        return out
 
     def act_gen(self, g: Generator, key):
         cached = self._memo.get((g, key))

@@ -2,19 +2,27 @@
 
 A monomial is a tuple of (generator, exponent) pairs whose generators are
 strictly increasing in the fixed order z1 < z2 < z3 < I(m) < d(m) (indices
-ascending within each family); the empty tuple is the unit.  Arbitrary
-products are represented as words (tuples of generators) and straightened
-with the bracket: swapping an out-of-order adjacent pair x y produces
-y x + [x, y], which strictly reduces (length, inversions), so the rewrite
-terminates.
+ascending within each family); the empty tuple is the unit.
+
+All straightening goes through one memoized kernel, LeftAction: left
+multiplication of a normal monomial by one generator.  A generator that must
+move past the head h of a monomial h * rest is commuted through it,
+g * h * rest = h * (g * rest) + [g, h] * rest, which terminates because every
+step either shortens the product or moves g towards its place.  Words are
+straightened by folding their letters in from the right, products of normal
+forms likewise, and an induced module is the same kernel with the generators
+of a subalgebra absorbed on the cyclic vector by a character; U acting on
+itself is the module induced from the zero subalgebra.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    Q,
+    ONE,
     Generator,
     LieElement,
+    SparseVector,
+    axpy,
     bracket_gens,
     gen_order_key,
     gen_str,
@@ -68,162 +76,108 @@ def mono_sort_key(mono: Monomial):
     return tuple(gen_order_key(g) for g in word_of(mono))
 
 
-class UEAElement:
+class UEAElement(SparseVector):
     """Sparse rational combination of normal-form PBW monomials."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        pruned = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Q(c)
-                if c:
-                    pruned[m] = c
-        self.coeffs = pruned
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, UEAElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return UEAElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        scalar = Q(scalar)
-        if not scalar:
-            return UEAElement()
-        return UEAElement({m: scalar * c for m, c in self.coeffs.items()})
+    __slots__ = ()
+    key_order = staticmethod(mono_sort_key)
+    key_str = staticmethod(mono_str)
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             return multiply(self, other)
         return self.__rmul__(other)
 
-    def items(self):
-        return self.coeffs.items()
-
-    def support(self):
-        return sorted(self.coeffs, key=mono_sort_key)
-
-    def __repr__(self):
-        return "UEAElement(%s)" % str(self)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in self.support():
-            c = self.coeffs[m]
-            ms = mono_str(m)
-            if ms == "1":
-                term = str(c)
-            elif c == 1:
-                term = ms
-            elif c == -1:
-                term = "-" + ms
-            else:
-                term = "%s*%s" % (c, ms)
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append("- " + term[1:])
-            else:
-                parts.append("+ " + term)
-        return " ".join(parts)
-
 
 UEA_ZERO = UEAElement()
-UEA_ONE = UEAElement({UNIT: Q(1)})
+UEA_ONE = UEAElement({UNIT: ONE})
 
 
 def uea(g: Generator) -> UEAElement:
-    return UEAElement({((g, 1),): Q(1)})
+    return UEAElement({((g, 1),): ONE})
 
 
 def uea_from_lie(x: LieElement) -> UEAElement:
     return UEAElement({((g, 1),): c for g, c in x.items()})
 
 
-def _find_inversion(word, strategy):
-    idx = range(len(word) - 1) if strategy == "leftmost" else range(len(word) - 2, -1, -1)
-    for i in idx:
-        if gen_order_key(word[i]) > gen_order_key(word[i + 1]):
-            return i
-    return None
+class LeftAction:
+    """Memoized left multiplication of normal monomials by one generator.
 
-
-def normal_form(word, strategy: str = "leftmost") -> UEAElement:
-    """Straighten an arbitrary word to the normal PBW form.
-
-    The result is the image of the product in U under the fixed order.  The
-    rewrite strategy (leftmost or rightmost inversion) does not affect the
-    result; both are exposed so that independence can be tested.
+    act_gen(g, mono) is g * mono in normal form, as a map monomial ->
+    coefficient.  Subclasses for induced modules override in_subalgebra and
+    define char: a subalgebra generator that reaches the unit (the cyclic
+    vector) acts there by its character value.  The base class, with an empty
+    subalgebra, is U acting on itself.
+    Results are memoized per instance and shared, so callers must not
+    mutate them.
     """
-    pending = {tuple(word): Q(1)}
-    done = {}
-    while pending:
-        w, c = pending.popitem()
-        i = _find_inversion(w, strategy)
-        if i is None:
-            m = mono_of_sorted_word(w)
-            s = done.get(m, 0) + c
-            if s:
-                done[m] = s
+
+    def __init__(self):
+        self._memo = {}
+
+    def in_subalgebra(self, g: Generator) -> bool:
+        return False
+
+    def act_gen(self, g: Generator, mono: Monomial):
+        out = self._memo.get((g, mono))
+        if out is not None:
+            return out
+        absorbed = self.in_subalgebra(g)
+        if not mono:
+            if absorbed:
+                c = self.char(g)
+                out = {UNIT: c} if c else {}
             else:
-                done.pop(m, None)
-            continue
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        s = pending.get(swapped, 0) + c
-        if s:
-            pending[swapped] = s
+                out = {((g, 1),): ONE}
         else:
-            pending.pop(swapped, None)
-        for g, cb in bracket_gens(w[i], w[i + 1]).items():
-            shorter = w[:i] + (g,) + w[i + 2 :]
-            s = pending.get(shorter, 0) + c * cb
-            if s:
-                pending[shorter] = s
+            head, e = mono[0]
+            if not absorbed and gen_order_key(g) <= gen_order_key(head):
+                if g == head:
+                    out = {((g, e + 1),) + mono[1:]: ONE}
+                else:
+                    out = {((g, 1),) + mono: ONE}
             else:
-                pending.pop(shorter, None)
-    return UEAElement(done)
+                rest = mono[1:] if e == 1 else ((head, e - 1),) + mono[1:]
+                out = {}
+                for k, c in self.act_gen(g, rest).items():
+                    axpy(out, c, self.act_gen(head, k))
+                for g2, c in bracket_gens(g, head).items():
+                    axpy(out, c, self.act_gen(g2, rest))
+        self._memo[(g, mono)] = out
+        return out
+
+    def apply_word(self, word, vec: dict) -> dict:
+        """word * vec for a map monomial -> coefficient, letters folded in from the right."""
+        for g in reversed(word):
+            out = {}
+            for mono, c in vec.items():
+                axpy(out, c, self.act_gen(g, mono))
+            vec = out
+        return vec
+
+
+def straighten(words: dict) -> UEAElement:
+    """Normal form of a combination of words (a map word -> coefficient)."""
+    action = LeftAction()
+    out = {}
+    for word, c in words.items():
+        axpy(out, c, action.apply_word(word, {UNIT: ONE}))
+    return UEAElement._trusted(out)
+
+
+def normal_form(word) -> UEAElement:
+    """Straighten an arbitrary word to the normal PBW form."""
+    return straighten({tuple(word): ONE})
 
 
 def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
     """Associative product of U, with the result in normal form."""
-    out = UEAElement()
-    for mu, cu in u.items():
-        wu = word_of(mu)
-        for mv, cv in v.items():
-            wv = word_of(mv)
-            if wu and wv and gen_order_key(wu[-1]) <= gen_order_key(wv[0]):
-                # already ordered at the seam, no straightening needed
-                prod = UEAElement({mono_of_sorted_word(wu + wv): Q(1)})
-            else:
-                prod = normal_form(wu + wv)
-            out = out + (cu * cv) * prod
-    return out
+    action = LeftAction()
+    out = {}
+    for mono, c in u.items():
+        axpy(out, c, action.apply_word(word_of(mono), v.coeffs))
+    return UEAElement._trusted(out)
 
 
 def grade(u: UEAElement):
@@ -232,7 +186,7 @@ def grade(u: UEAElement):
     for m, c in u.items():
         w = mono_weight(m)
         buckets.setdefault(w, {})[m] = c
-    return {w: UEAElement(part) for w, part in buckets.items()}
+    return {w: UEAElement._trusted(part) for w, part in buckets.items()}
 
 
 def default_negative_restrict(g: Generator) -> bool:

@@ -1,0 +1,107 @@
+"""Independent slow oracles that the package's fast paths are checked against.
+
+- rewrite_normal_form: the original PBW word rewriter.  It swaps one adjacent
+  out-of-order pair at a time (x y -> y x + [x, y]) with no memo, so it shares
+  nothing with the package's LeftAction kernel but the bracket.
+- example33_action: the closed-form action on the (i, j) basis of the r = 1
+  shift-embedded module, independent of embedded_action.
+"""
+
+from heisvir.algebra import Q, bracket_gens, gen_order_key
+from heisvir.errors import LambdaZero
+from heisvir.modules import gen_binom
+from heisvir.pbw import UEAElement, mono_of_sorted_word
+
+
+def _find_inversion(word, strategy):
+    idx = range(len(word) - 1) if strategy == "leftmost" else range(len(word) - 2, -1, -1)
+    for i in idx:
+        if gen_order_key(word[i]) > gen_order_key(word[i + 1]):
+            return i
+    return None
+
+
+def rewrite_normal_form(word, strategy: str = "leftmost") -> UEAElement:
+    """Straighten an arbitrary word to the normal PBW form.
+
+    The result is the image of the product in U under the fixed order.  The
+    rewrite strategy (leftmost or rightmost inversion) does not affect the
+    result; both are exposed so that independence can be tested.
+    """
+    pending = {tuple(word): Q(1)}
+    done = {}
+    while pending:
+        w, c = pending.popitem()
+        i = _find_inversion(w, strategy)
+        if i is None:
+            m = mono_of_sorted_word(w)
+            s = done.get(m, 0) + c
+            if s:
+                done[m] = s
+            else:
+                done.pop(m, None)
+            continue
+        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+        s = pending.get(swapped, 0) + c
+        if s:
+            pending[swapped] = s
+        else:
+            pending.pop(swapped, None)
+        for g, cb in bracket_gens(w[i], w[i + 1]).items():
+            shorter = w[:i] + (g,) + w[i + 2 :]
+            s = pending.get(shorter, 0) + c * cb
+            if s:
+                pending[shorter] = s
+            else:
+                pending.pop(shorter, None)
+    return UEAElement(done)
+
+
+def example33_action(mu, kappa, lam, g, key):
+    """Closed-form action on the (i, j) basis of the r = 1 embedded module.
+
+    Independent of embedded_action; kept as a cross-check path.  mu is
+    (mu_1, mu_2), kappa is (kappa_0, kappa_1).
+    """
+    lam = Q(lam)
+    if lam == 0:
+        raise LambdaZero("the embedding parameter must be nonzero")
+    mu1, mu2 = Q(mu[0]), Q(mu[1])
+    k0, k1 = Q(kappa[0]), Q(kappa[1])
+    i, j = key
+    kind, m = g
+    out = {}
+
+    def add(k2, c):
+        if not c:
+            return
+        s = out.get(k2, 0) + c
+        if s:
+            out[k2] = s
+        else:
+            out.pop(k2, None)
+
+    outer = {k: gen_binom(i, k) * Q(-m) ** (i - k) for k in range(i + 1)}
+    if kind == "z":
+        return {}
+    if kind == "I":
+        inner1 = {l: gen_binom(j, l) * Q(-1) ** (j - l) for l in range(j + 1)}
+        for k, ck in outer.items():
+            add((k, j), lam**m * k0 * ck)
+            for l, cl in inner1.items():
+                add((k, l), m * lam ** (m - 1) * k1 * ck * cl)
+        return out
+    inner1 = {l: gen_binom(j, l) * Q(-1) ** (j - l) for l in range(j + 1)}
+    inner2 = {l: gen_binom(j, l) * Q(-2) ** (j - l) for l in range(j + 1)}
+    for k, ck in outer.items():
+        add((k + 1, j), lam**m * ck)
+        add((k, j + 1), m * lam**m * ck)
+        c1 = Q(m * m + m, 2) * lam ** (m - 1) * mu1 * ck
+        if c1:
+            for l, cl in inner1.items():
+                add((k, l), c1 * cl)
+        c2 = Q(m**3 - m, 6) * lam ** (m - 2) * mu2 * ck
+        if c2:
+            for l, cl in inner2.items():
+                add((k, l), c2 * cl)
+    return out

@@ -47,11 +47,11 @@ from heisvir.modules import (
     VermaModule,
     WhittakerCharacter,
     act,
-    example33_action,
     module_axiom_check,
     phi_prime,
 )
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
+from oracles import example33_action
 
 
 def _report(num, name, fn, limit=None):

@@ -21,11 +21,11 @@ from heisvir.modules import (
     act,
     act_uea,
     embedded_action,
-    example33_action,
     module_axiom_check,
     phi_prime,
 )
 from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, uea, word_of
+from oracles import example33_action
 
 HW = HWParams(i0=3, d0=Q(5, 2), z1=1, z2=Q(1, 2), z3=2)
 ISP = ISParams(a=Q(1, 2), b=Q(1, 3), F=2)

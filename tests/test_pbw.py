@@ -1,10 +1,12 @@
 import random
+import time
 
 from fractions import Fraction as Q
 
 import pytest
 
 from heisvir.algebra import Z1, Z3, basis_window, d, I, lie
+from heisvir.expr import parse_uea
 from heisvir.modules import HWParams, VermaModule, act, act_uea
 from heisvir.pbw import (
     UEAElement,
@@ -16,6 +18,7 @@ from heisvir.pbw import (
     normal_form,
     uea,
 )
+from oracles import rewrite_normal_form
 
 
 def partitions_count(n, cache={0: 1}):
@@ -67,11 +70,31 @@ def test_normal_form_idempotent():
 
 
 def test_strategy_independence():
+    # the oracle rewriter gives one normal form whichever inversion it swaps first
     rng = random.Random(3)
     gens = basis_window(2)
     for _ in range(120):
         w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 5)))
-        assert normal_form(w, "leftmost") == normal_form(w, "rightmost")
+        assert rewrite_normal_form(w, "leftmost") == rewrite_normal_form(w, "rightmost")
+
+
+def test_normal_form_and_multiply_match_rewriter_oracle():
+    rng = random.Random(17)
+    gens = basis_window(2)
+    for _ in range(150):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 6)))
+        assert normal_form(w) == rewrite_normal_form(w), w
+        v = tuple(rng.choice(gens) for _ in range(rng.randint(0, 6 - len(w))))
+        assert multiply(normal_form(w), normal_form(v)) == rewrite_normal_form(w + v), (w, v)
+
+
+def test_power_words_straighten_quickly():
+    # the rewriter needs tens of seconds from d(1)^6*d(-1)^6 on; the kernel shares sub-results
+    assert parse_uea("d(1)^4*d(-1)^4") == rewrite_normal_form((d(1),) * 4 + (d(-1),) * 4)
+    t0 = time.perf_counter()
+    u = parse_uea("d(1)^8*d(-1)^8")
+    assert time.perf_counter() - t0 < 10
+    assert u and set(grade(u)) == {0}
 
 
 def test_normal_form_module_oracle():
