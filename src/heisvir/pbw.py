@@ -120,7 +120,8 @@ class LeftAction:
         return False
 
     def act_gen(self, g: Generator, mono: Monomial):
-        out = self._memo.get((g, mono))
+        memo = self._memo
+        out = memo.get((g, mono))
         if out is not None:
             return out
         absorbed = self.in_subalgebra(g)
@@ -130,21 +131,33 @@ class LeftAction:
                 out = {UNIT: c} if c else {}
             else:
                 out = {((g, 1),): ONE}
-        else:
+        elif not absorbed and gen_order_key(g) <= gen_order_key(mono[0][0]):
             head, e = mono[0]
-            if not absorbed and gen_order_key(g) <= gen_order_key(head):
-                if g == head:
-                    out = {((g, e + 1),) + mono[1:]: ONE}
-                else:
-                    out = {((g, 1),) + mono: ONE}
+            if g == head:
+                out = {((g, e + 1),) + mono[1:]: ONE}
             else:
-                rest = mono[1:] if e == 1 else ((head, e - 1),) + mono[1:]
-                out = {}
-                for k, c in self.act_gen(g, rest).items():
-                    axpy(out, c, self.act_gen(head, k))
-                for g2, c in bracket_gens(g, head).items():
-                    axpy(out, c, self.act_gen(g2, rest))
-        self._memo[(g, mono)] = out
+                out = {((g, 1),) + mono: ONE}
+        else:
+            # g h^k rest = h (g h^(k-1) rest) + [g, h] h^(k-1) rest for the head
+            # h^e, taken for k = 1..e in a loop, so that the recursion depth
+            # is the number of distinct generators in mono, not its length
+            head, e = mono[0]
+            rest = mono[1:]
+            out = self.act_gen(g, rest)
+            lower = rest
+            for k in range(1, e + 1):
+                upper = ((head, k),) + rest
+                prev, out = out, memo.get((g, upper))
+                if out is None:
+                    out = {}
+                    for m, c in prev.items():
+                        axpy(out, c, self.act_gen(head, m))
+                    for g2, c in bracket_gens(g, head).items():
+                        axpy(out, c, self.act_gen(g2, lower))
+                    memo[(g, upper)] = out
+                lower = upper
+            return out
+        memo[(g, mono)] = out
         return out
 
     def apply_word(self, word, vec: dict) -> dict:

@@ -97,6 +97,21 @@ def test_power_words_straighten_quickly():
     assert u and set(grade(u)) == {0}
 
 
+def test_long_power_closed_form():
+    # d(1) d(-1)^n = d(-1)^n d(1) - 2n d(-1)^(n-1) d(0) + n(n-1) d(-1)^(n-1); the
+    # kernel's recursion depth must not grow with the exponent
+    for n in (4, 1500):
+        expected = UEAElement(
+            {
+                ((d(-1), n), (d(1), 1)): 1,
+                ((d(-1), n - 1), (d(0), 1)): -2 * n,
+                ((d(-1), n - 1),): n * (n - 1),
+            }
+        )
+        assert normal_form((d(1),) + (d(-1),) * n) == expected
+    assert rewrite_normal_form((d(1),) + (d(-1),) * 4) == normal_form((d(1),) + (d(-1),) * 4)
+
+
 def test_normal_form_module_oracle():
     # independent check: straightening must agree with the module action,
     # which never calls normal_form

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisvir.algebra import LieElement, basis_window, bracket
+from heisvir.algebra import LieElement, basis_window, bracket, lie
 from heisvir.errors import MixedModules
 from heisvir.modules import HWParams, VermaModule, act
-from heisvir.pbw import UEAElement, multiply, negative_part_basis, normal_form
+from heisvir.pbw import UEAElement, multiply, negative_part_basis, normal_form, uea
 
 GENS = basis_window(2)
 MONOS = [()] + negative_part_basis(1) + negative_part_basis(2)
@@ -56,9 +56,11 @@ def test_arithmetic_laws_and_stored_coefficients(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lie_elements, lie_elements, st.lists(st.sampled_from(GENS), max_size=4))
+@given(lie_elements, lie_elements, st.lists(st.sampled_from(GENS), min_size=1, max_size=4))
 def test_bracket_kernel_and_action_results_are_well_formed(x, y, word):
-    assert well_formed(bracket(x, y))
+    g = word[0]
+    assert well_formed(lie(g)) and well_formed(uea(g)) and well_formed(lie(g) - x)
+    assert well_formed(bracket(x, y)) and well_formed(bracket(lie(g), y))
     u = normal_form(word)
     assert well_formed(u)
     assert well_formed(multiply(u, u))
