@@ -6,9 +6,10 @@ ascending within each family); the empty tuple is the unit.
 
 All straightening goes through one memoized kernel, LeftAction: left
 multiplication of a normal monomial by one generator.  A generator that must
-move past the head h of a monomial h * rest is commuted through it,
-g * h * rest = h * (g * rest) + [g, h] * rest, which terminates because every
-step either shortens the product or moves g towards its place.  Words are
+move past the head power h^e of a monomial is commuted through it one factor
+at a time, g * h^k * rest = h * (g * h^(k-1) * rest) + [g, h] * h^(k-1) * rest,
+which terminates because every step either shortens the product or moves g
+towards its place.  Words are
 straightened by folding their letters in from the right, products of normal
 forms likewise, and an induced module is the same kernel with the generators
 of a subalgebra absorbed on the cyclic vector by a character; U acting on
@@ -20,7 +21,6 @@ from __future__ import annotations
 from .algebra import (
     ONE,
     Generator,
-    LieElement,
     SparseVector,
     axpy,
     bracket_gens,
@@ -89,16 +89,8 @@ class UEAElement(SparseVector):
         return self.__rmul__(other)
 
 
-UEA_ZERO = UEAElement()
-UEA_ONE = UEAElement({UNIT: ONE})
-
-
 def uea(g: Generator) -> UEAElement:
     return UEAElement({((g, 1),): ONE})
-
-
-def uea_from_lie(x: LieElement) -> UEAElement:
-    return UEAElement({((g, 1),): c for g, c in x.items()})
 
 
 class LeftAction:
