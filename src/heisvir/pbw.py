@@ -101,8 +101,8 @@ class LeftAction:
     define char: a subalgebra generator that reaches the unit (the cyclic
     vector) acts there by its character value.  The base class, with an empty
     subalgebra, is U acting on itself.
-    Results are memoized per instance and shared, so callers must not
-    mutate them.
+    Straightened results are memoized per instance and shared, so callers
+    must not mutate them.
     """
 
     def __init__(self):
@@ -117,39 +117,32 @@ class LeftAction:
         if out is not None:
             return out
         absorbed = self.in_subalgebra(g)
+        if not absorbed and (not mono or gen_order_key(g) <= gen_order_key(mono[0][0])):
+            # g is already in place: too cheap to be worth a memo entry
+            if mono and mono[0][0] == g:
+                return {((g, mono[0][1] + 1),) + mono[1:]: ONE}
+            return {((g, 1),) + mono: ONE}
         if not mono:
-            if absorbed:
-                c = self.char(g)
-                out = {UNIT: c} if c else {}
-            else:
-                out = {((g, 1),): ONE}
-        elif not absorbed and gen_order_key(g) <= gen_order_key(mono[0][0]):
-            head, e = mono[0]
-            if g == head:
-                out = {((g, e + 1),) + mono[1:]: ONE}
-            else:
-                out = {((g, 1),) + mono: ONE}
-        else:
-            # g h^k rest = h (g h^(k-1) rest) + [g, h] h^(k-1) rest for the head
-            # h^e, taken for k = 1..e in a loop, so that the recursion depth
-            # is the number of distinct generators in mono, not its length
-            head, e = mono[0]
-            rest = mono[1:]
-            out = self.act_gen(g, rest)
-            lower = rest
-            for k in range(1, e + 1):
-                upper = ((head, k),) + rest
-                prev, out = out, memo.get((g, upper))
-                if out is None:
-                    out = {}
-                    for m, c in prev.items():
-                        axpy(out, c, self.act_gen(head, m))
-                    for g2, c in bracket_gens(g, head).items():
-                        axpy(out, c, self.act_gen(g2, lower))
-                    memo[(g, upper)] = out
-                lower = upper
-            return out
-        memo[(g, mono)] = out
+            c = self.char(g)
+            return {UNIT: c} if c else {}
+        # g h^k rest = h (g h^(k-1) rest) + [g, h] h^(k-1) rest for the head
+        # h^e, taken for k = 1..e in a loop, so that the recursion depth is
+        # the number of distinct generators in mono, not its length
+        head, e = mono[0]
+        rest = mono[1:]
+        out = self.act_gen(g, rest)
+        lower = rest
+        for k in range(1, e + 1):
+            upper = ((head, k),) + rest
+            prev, out = out, memo.get((g, upper))
+            if out is None:
+                out = {}
+                for m, c in prev.items():
+                    axpy(out, c, self.act_gen(head, m))
+                for g2, c in bracket_gens(g, head).items():
+                    axpy(out, c, self.act_gen(g2, lower))
+                memo[(g, upper)] = out
+            lower = upper
         return out
 
     def apply_word(self, word, vec: dict) -> dict:
