@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import Q, basis_window, gen_weight
 from .errors import NotNegativePart
+from .linsearch import Echelon
 from .modules import ISParams, WhittakerCharacter
 from .pbw import UEAElement, word_of
 
@@ -310,7 +311,8 @@ def annihilator_cover(ann1, ann2, window: int) -> bool:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    elements = []
+    cols = basis_window(window)
+    span = Echelon.over(cols)
     margin = 0
     for x in list(ann1) + list(ann2):
         if x.is_zero():
@@ -320,40 +322,9 @@ def annihilator_cover(ann1, ann2, window: int) -> bool:
             continue
         if idx:
             margin = max(margin, max(idx) - min(idx))
-        elements.append(x)
-    cols = basis_window(window)
-    col_pos = {g: i for i, g in enumerate(cols)}
-    rows = []
-    for x in elements:
-        row = [Q(0)] * len(cols)
-        for g, c in x.items():
-            row[col_pos[g]] = c
-        rows.append(row)
-    # incremental echelon of the span
-    pivots = {}
-
-    def reduce(vec):
-        vec = list(vec)
-        for j in sorted(pivots):
-            if vec[j]:
-                pr = pivots[j]
-                f = vec[j] / pr[j]
-                for t in range(j, len(vec)):
-                    vec[t] -= f * pr[t]
-        return vec
-
-    for row in rows:
-        red = reduce(row)
-        lead = next((j for j, v in enumerate(red) if v), None)
-        if lead is not None:
-            pivots[lead] = red
+        span.insert(x.coeffs)
     targets = [g for g in cols if g[0] == "z" or abs(g[1]) <= window - margin]
-    for g in targets:
-        unit = [Q(0)] * len(cols)
-        unit[col_pos[g]] = Q(1)
-        if any(reduce(unit)):
-            return False
-    return True
+    return not any(span.reduce({g: 1}) for g in targets)
 
 
 def w_mu_kappa_simple(r, mu, kappa) -> SimplicityVerdict:

@@ -9,8 +9,11 @@ Grammar (whitespace insignificant):
     generator := 'd(' int ')' | 'I(' int ')' | 'z1' | 'z2' | 'z3'
     rational  := sign? digits ('/' digits)?
 
-Products denote unstraightened words; lowering to the enveloping algebra
-applies the PBW normal form.  Rational literals only (no decimals).
+Products denote products in the enveloping algebra: lowering multiplies the
+PBW normal forms of the factors, folded in from the right through one shared
+LeftAction, so a power of a sum never expands into its unstraightened words.
+to_words flattens a tree into unstraightened words; only to_lie, which must
+see the words, uses it.  Rational literals only (no decimals).
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Q, LieElement, axpy, gen_str
+from .algebra import ONE, Q, LieElement, axpy, gen_str
 from .errors import ExprError, IntegerOverflow
-from .pbw import UEAElement, straighten
+from .pbw import LeftAction, UEAElement
 
 MAX_INDEX = 2**31 - 1
 
@@ -222,29 +225,29 @@ def print_expr(e) -> str:
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def to_words(e):
-    """Flatten a tree into a map word -> coefficient (words unstraightened)."""
+def _lower(e, letter, times) -> dict:
+    """Flatten a tree into a map key -> coefficient: a generator g is the key
+    letter(g), the empty key is the unit, and the factors of a product are
+    folded in from the right by times(factor, product)."""
     if isinstance(e, Num):
-        return {(): e.value}
+        return {(): e.value} if e.value else {}
     if isinstance(e, Gen):
-        return {(e.g,): Q(1)}
-    if isinstance(e, Pow):
-        base = to_words(e.base)
-        out = {(): Q(1)}
-        for _ in range(e.exp):
-            out = _word_product(out, base)
-        return out
-    if isinstance(e, Prod):
-        out = {(): Q(1)}
-        for f in e.factors:
-            out = _word_product(out, to_words(f))
-        return out
+        return {letter(e.g): ONE}
     if isinstance(e, Sum):
         out = {}
         for sign, term in e.terms:
-            axpy(out, Q(sign), to_words(term))
+            axpy(out, Q(sign), _lower(term, letter, times))
         return out
-    raise TypeError("not an expression node: %r" % (e,))
+    if isinstance(e, Pow):
+        factors = [_lower(e.base, letter, times)] * e.exp
+    elif isinstance(e, Prod):
+        factors = [_lower(f, letter, times) for f in e.factors]
+    else:
+        raise TypeError("not an expression node: %r" % (e,))
+    out = {(): ONE}
+    for f in reversed(factors):
+        out = times(f, out)
+    return out
 
 
 def _word_product(a, b):
@@ -254,9 +257,14 @@ def _word_product(a, b):
     return out
 
 
+def to_words(e):
+    """Flatten a tree into a map word -> coefficient (words unstraightened)."""
+    return _lower(e, lambda g: (g,), _word_product)
+
+
 def to_uea(e) -> UEAElement:
     """Lower a tree to the enveloping algebra (normal form)."""
-    return straighten(to_words(e))
+    return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), LeftAction().multiply))
 
 
 def to_lie(e) -> LieElement:

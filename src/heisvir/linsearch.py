@@ -1,16 +1,20 @@
 """Exact rational linear algebra and the bounded search routines.
 
-Nullspaces can be computed by fraction-free Bareiss elimination or by plain
-rational Gauss; both are canonicalised through the reduced echelon form and
-must return identical kernels.  On top of them sit the singular-vector
-search, the maximal-submodule generator discovery, the Whittaker-vector
-linear system and the brute-force shifted-membership oracle.
+Every elimination runs through one engine, Echelon: a sparse, fraction-free
+(integer-preserving, after Bareiss, Math. Comp. 22, 1968), incremental
+echelon form over a column order fixed when it is built.  rref, nullspace
+and rank run it over the columns of a MatrixQ and back-substitute in
+integers; every kernel vector is re-checked against the matrix exactly.
+Dense rational Gauss survives only as the test oracle.  On top sit the
+singular-vector search, the maximal-submodule generator discovery, the
+Whittaker-vector linear system and the brute-force shifted-membership oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .algebra import ONE, Q, I, axpy, bracket, d, lie
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
@@ -35,121 +39,184 @@ from .pbw import (
 )
 
 
-class MatrixQ:
-    """Dense rational matrix with optional row/column labels."""
+class Echelon:
+    """Sparse fraction-free incremental echelon form.
 
-    def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = [[Q(v) for v in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged matrix")
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-
-    def mul_vec(self, vec):
-        return [sum((r[j] * vec[j] for j in range(self.ncols)), Q(0)) for r in self.rows]
-
-
-def _rref_gauss(rows, ncols):
-    """Reduced row echelon form by plain rational elimination."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _rref_bareiss(rows, ncols):
-    """Reduced row echelon form via fraction-free Bareiss elimination.
-
-    Rows are scaled to integers (scaling preserves the row space, and the
-    rref is unique per row space); the forward pass divides by the previous
-    pivot, which is exact by the Sylvester determinant identity.  A rational
-    back-substitution then produces the same canonical rref as the plain
-    pipeline.
+    position maps a column to a sortable value that fixes the elimination
+    order; it is computed once per column, and Echelon.over(columns) orders
+    a known column list as listed.  A stored row is an integer map position
+    -> int with its gcd content divided out and a positive pivot at its
+    first position, and it holds no pivot column of an earlier row.  So
+    eliminating pivot columns in increasing position only ever brings in
+    later positions, and one pass over a heap of them reduces a vector.
+    pivots lists the pivot columns in insertion order; the first k of them
+    span what the rows inserted up to the k-th pivot span.
     """
-    m = []
-    for row in rows:
-        if any(row):
-            den = math.lcm(*(v.denominator for v in row))
-            m.append([int(v * den) for v in row])
-    if not m:
-        return [], []
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
+
+    def __init__(self, position):
+        self.position = position
+        self.index = {}  # column -> position
+        self.column = {}  # position -> column
+        self.rows = {}  # pivot position -> integer row
+        self.pivot_positions = []  # in insertion order
+
+    @classmethod
+    def over(cls, columns) -> "Echelon":
+        return cls({k: i for i, k in enumerate(columns)}.__getitem__)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_positions)
+
+    @property
+    def pivots(self):
+        return [self.column[p] for p in self.pivot_positions]
+
+    def _integral(self, vec) -> dict:
+        """vec (column -> rational) scaled to a primitive integer row over positions."""
+        index = self.index
+        den = lcm(*(v.denominator for v in vec.values()))
+        row = {}
+        for k, v in vec.items():
+            if v:
+                p = index.get(k)
+                if p is None:
+                    p = index[k] = self.position(k)
+                    self.column[p] = k
+                row[p] = v.numerator * (den // v.denominator)
+        return _primitive(row)
+
+    def _keyed(self, row) -> dict:
+        column = self.column
+        return {column[p]: c for p, c in row.items()}
+
+    def reduce(self, vec, limit=None) -> dict:
+        """Residue of vec modulo the first limit pivot rows (all by default).
+
+        The residue is an integer map column -> int, a nonzero multiple of
+        the rational residue; it is empty exactly when vec lies in the span.
+        """
+        use = self.rows
+        if limit is not None and limit < self.rank:
+            use = {p: use[p] for p in self.pivot_positions[:limit]}
+        return self._keyed(_eliminate(self._integral(vec), use))
+
+    def insert(self, vec) -> dict:
+        """Reduce vec and keep a nonzero residue as a new pivot row; returns the residue."""
+        row = _eliminate(self._integral(vec), self.rows)
+        if row:
+            p = min(row)
+            if row[p] < 0:
+                row = {q: -c for q, c in row.items()}
+            self.rows[p] = row
+            self.pivot_positions.append(p)
+        return self._keyed(row)
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        return {p: c // g for p, c in row.items()}
+    return row
+
+
+def _eliminate(row: dict, use: dict) -> dict:
+    """Clear from an integer row every pivot column of the rows in use."""
+    heap = [p for p in row if p in use]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = row.get(p)
+        if c is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            fi = m[i][c]
-            m[i] = [(piv * m[i][j] - fi * m[r][j]) // prev for j in range(ncols)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    ech = [[Q(v) for v in m[i]] for i in range(r)]
-    for i in range(r - 1, -1, -1):
-        pc = pivots[i]
-        pv = ech[i][pc]
-        ech[i] = [v / pv for v in ech[i]]
-        for i2 in range(i):
-            f = ech[i2][pc]
-            if f:
-                ech[i2] = [a - f * b for a, b in zip(ech[i2], ech[i])]
-    return ech, pivots
+        prow = use[p]
+        a = prow[p]
+        g = gcd(a, c)
+        a //= g
+        c //= g
+        if a != 1:
+            for q in row:
+                row[q] *= a
+        for q, v in prow.items():
+            w = row.get(q)
+            if w is None:
+                row[q] = -c * v
+                if q in use:
+                    heappush(heap, q)
+            else:
+                w -= c * v
+                if w:
+                    row[q] = w
+                else:
+                    del row[q]
+    return _primitive(row)
 
 
-def rref(M: MatrixQ, method: str = "gauss"):
-    if method == "gauss":
-        return _rref_gauss(M.rows, M.ncols)
-    if method == "bareiss":
-        return _rref_bareiss(M.rows, M.ncols)
-    raise ValueError("unknown method %r" % method)
+class MatrixQ:
+    """Sparse rational matrix: row i maps a column to its nonzero entry."""
+
+    def __init__(self, rows):
+        rows = list(rows)
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise ValueError("ragged matrix")
+        self.rows = [{j: Q(v) for j, v in enumerate(r) if v} for r in rows]
+        self.nrows = len(rows)
+        self.ncols = widths.pop() if widths else 0
+
+    @classmethod
+    def sparse(cls, rows, ncols: int) -> "MatrixQ":
+        """A matrix from maps column -> value, trusted to hold rationals."""
+        M = cls.__new__(cls)
+        M.rows, M.nrows, M.ncols = rows, len(rows), ncols
+        return M
 
 
-def nullspace(M: MatrixQ, method: str = "gauss"):
+def _reduced_rows(M: MatrixQ) -> dict:
+    """Pivot column -> integer row of the reduced echelon form, back-substituted from the last pivot up."""
+    span = Echelon.over(range(M.ncols))
+    for row in M.rows:
+        span.insert(row)
+    done = {}
+    for p in sorted(span.rows, reverse=True):
+        done[p] = _eliminate(span.rows[p], done)
+    return done
+
+
+def _dense(vec: dict, ncols: int) -> list:
+    out = [Q(0)] * ncols
+    for j, v in vec.items():
+        out[j] = v
+    return out
+
+
+def rref(M: MatrixQ):
+    """Reduced row echelon form: (rows with unit pivots, pivot columns), rows in pivot order."""
+    reduced = _reduced_rows(M)
+    pivots = sorted(reduced)
+    rows = [{j: Q(v, reduced[p][p]) for j, v in reduced[p].items()} for p in pivots]
+    return [_dense(row, M.ncols) for row in rows], pivots
+
+
+def nullspace(M: MatrixQ):
     """Canonical kernel basis: one vector per free column, unit at that column.
 
     Every returned vector is re-checked against M exactly.
     """
-    rows, pivots = rref(M, method)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Q(0)] * M.ncols
-        vec[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(tuple(vec))
-    for vec in basis:
-        if any(M.mul_vec(list(vec))):
+    reduced = _reduced_rows(M)
+    kernel = {fc: {fc: ONE} for fc in range(M.ncols) if fc not in reduced}
+    for pc, row in reduced.items():
+        for fc, v in row.items():
+            if fc != pc:
+                kernel[fc][pc] = Q(-v, row[pc])
+    for vec in kernel.values():
+        if any(sum(c * vec[j] for j, c in row.items() if j in vec) for row in M.rows):
             raise AssertionError("kernel vector fails M v = 0")
-    return basis
+    return [tuple(_dense(vec, M.ncols)) for vec in kernel.values()]
 
 
-def rank(M: MatrixQ, method: str = "gauss") -> int:
-    return len(rref(M, method)[1])
+def rank(M: MatrixQ) -> int:
+    return len(_reduced_rows(M))
 
 
 @dataclass
@@ -205,28 +272,18 @@ def check_positive_generation(window: int) -> bool:
             [x.coeffs.get(("d", k), Q(0)), x.coeffs.get(("I", k), Q(0))]
             for x in produced.get(k, [])
         ]
-        if rank(MatrixQ(coords or [[Q(0), Q(0)]])) < 2:
+        if rank(MatrixQ(coords)) < 2:
             return False
     return True
 
 
-def _action_matrix(module, gen, src_keys):
-    """Matrix of a generator action out of a finite key window."""
-    images = [module.act_gen(gen, k) for k in src_keys]
-    seen = set()
-    det_keys = []
-    for img in images:
-        for k in img:
-            if k not in seen:
-                seen.add(k)
-                det_keys.append(k)
-    det_keys.sort(key=module.key_sort)
-    pos = {k: i for i, k in enumerate(det_keys)}
-    rows = [[Q(0)] * len(src_keys) for _ in det_keys]
-    for j, img in enumerate(images):
-        for k, c in img.items():
-            rows[pos[k]][j] = c
-    return rows
+def _action_rows(module, gen, src_keys):
+    """Sparse rows (one per target key) of a generator action out of a key window."""
+    rows = {}
+    for j, k in enumerate(src_keys):
+        for target, c in module.act_gen(gen, k).items():
+            rows.setdefault(target, {})[j] = c
+    return list(rows.values())
 
 
 def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
@@ -241,10 +298,8 @@ def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
     src = weight_basis(degree)
     rows = []
     for gen in POSITIVE_GENERATORS:
-        rows.extend(_action_matrix(module, gen, src))
-    if not rows:
-        rows = [[Q(0)] * len(src)]
-    M = MatrixQ(rows, col_labels=src)
+        rows.extend(_action_rows(module, gen, src))
+    M = MatrixQ.sparse(rows, len(src))
     vectors = []
     for vec in nullspace(M):
         mv = ModuleVector(module, {k: c for k, c in zip(src, vec) if c})
@@ -260,33 +315,6 @@ def _uea_of_vector(mv: ModuleVector) -> UEAElement:
     u = UEAElement(dict(mv.coeffs))
     top = max(u.coeffs, key=mono_sort_key)
     return (1 / u.coeffs[top]) * u
-
-
-class _SpanReducer:
-    """Incremental echelon over monomial-keyed sparse vectors."""
-
-    def __init__(self):
-        self.pivot_by_lead = {}
-
-    def reduce(self, vecmap):
-        vec = dict(vecmap)
-        while True:
-            lead = None
-            for k in sorted(vec, key=mono_sort_key):
-                if k in self.pivot_by_lead:
-                    lead = k
-                    break
-            if lead is None:
-                return vec
-            rowmap = self.pivot_by_lead[lead]
-            axpy(vec, -vec[lead] / rowmap[lead], rowmap)
-
-    def insert(self, vecmap):
-        red = self.reduce(vecmap)
-        if red:
-            lead = min(red, key=mono_sort_key)
-            self.pivot_by_lead[lead] = red
-        return red
 
 
 def maximal_submodule_gens(hw: HWParams, max_degree: int):
@@ -307,18 +335,12 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
         found = singular_vectors(hw, degree).vectors
         if not found:
             continue
-        reducer = _SpanReducer()
-        for u, p, mv in gens:
-            if p > degree:
-                continue
-            if p == degree:
-                reducer.insert(dict(mv.coeffs))
-                continue
+        span = Echelon.over(weight_basis(degree))
+        for _, p, mv in gens:
             for mono in negative_part_basis(degree - p):
-                row = act_uea(UEAElement({mono: Q(1)}), mv)
-                reducer.insert(dict(row.coeffs))
+                span.insert(act_uea(UEAElement({mono: Q(1)}), mv).coeffs)
         for mv in found:
-            if reducer.insert(dict(mv.coeffs)):
+            if span.insert(mv.coeffs):
                 gens.append((_uea_of_vector(mv), degree, mv))
     status = _gens_status(hw, [(u, p) for u, p, _ in gens], max_degree)
     return [u for u, _, _ in gens], status
@@ -369,53 +391,47 @@ def whittaker_vector_search(char: WhittakerCharacter) -> SearchResult:
         for j, mono in enumerate(ansatz):
             image = axpy(dict(module.act_gen(gen, mono)), -phi_val, {mono: ONE})
             for key, c in image.items():
-                rows.setdefault((ci, key), [Q(0)] * len(ansatz))[j] = c
-    M = MatrixQ(list(rows.values()) or [[Q(0)] * len(ansatz)])
+                rows.setdefault((ci, key), {})[j] = c
+    M = MatrixQ.sparse(list(rows.values()), len(ansatz))
+    kernel = nullspace(M)
     vectors = []
-    for vec in nullspace(M):
+    for vec in kernel:
         mv = ModuleVector(module, {k: c for k, c in zip(ansatz, vec) if c})
         for gen in conditions:
             if act(gen, mv) != char.value(gen) * mv:
                 raise AssertionError("search result fails the defining conditions")
         vectors.append(mv)
-    return SearchResult(vectors, "complete", num_variables=len(ansatz), rank=rank(M))
+    return SearchResult(vectors, "complete", num_variables=len(ansatz), rank=len(ansatz) - len(kernel))
 
 
 GENERIC_HW = HWParams(i0=Q(2, 3), d0=Q(5, 7), z1=Q(1), z2=Q(1, 3), z3=Q(2))
+
+
+def _deepest_first(mono):
+    # a depth-i spanning vector is its own monomial plus shallower terms, so
+    # with the deepest column first it reduces against short pivot rows
+    return mono_weight(mono), mono_sort_key(mono)
 
 
 class MembershipTester:
     """Incremental span oracle for the shifted filtration at a fixed y-exponent.
 
     The relevant slice is spanned by depth-i monomials acting on the basis
-    vector at y-exponent n + i (i >= 1); blocks are added one depth at a time
-    and pivot rows are only ever appended, so verdicts at different truncation
-    depths reuse one elimination.
+    vector at y-exponent n + i (i >= 1); blocks are inserted into one Echelon
+    a depth at a time, so the span at truncation depth t is that of its first
+    block_rank[t] pivots, and verdicts at different depths reuse one
+    elimination.
     """
 
     def __init__(self, isp: ISParams, n: int, hw: HWParams = GENERIC_HW):
         self.module = ShiftedTensorModule(hw, isp)
         self.n = n
-        self.depth = 0
-        self.pivot_by_lead = {}  # lead monomial -> (rowmap, block depth)
-
-    def _reduce(self, vecmap, max_block):
-        vec = dict(vecmap)
-        while True:
-            lead = None
-            for k in sorted(vec, key=mono_sort_key):
-                entry = self.pivot_by_lead.get(k)
-                if entry is not None and entry[1] <= max_block:
-                    lead = k
-                    break
-            if lead is None:
-                return vec
-            rowmap = self.pivot_by_lead[lead][0]
-            axpy(vec, -vec[lead] / rowmap[lead], rowmap)
+        self.span = Echelon(_deepest_first)
+        self.block_rank = [0]  # rank of the span after each depth
 
     def _extend(self, depth: int):
-        while self.depth < depth:
-            i = self.depth + 1
+        while len(self.block_rank) <= depth:
+            i = len(self.block_rank)
             start = self.module.vector((UNIT, self.n + i))
             for mono in negative_part_basis(i):
                 img = act_uea(UEAElement({mono: Q(1)}), start)
@@ -425,16 +441,13 @@ class MembershipTester:
                     if y != self.n:
                         raise AssertionError("spanning vector escaped the slice")
                     flat[m2] = c
-                red = self._reduce(flat, i)
-                if red:
-                    lead = min(red, key=mono_sort_key)
-                    self.pivot_by_lead[lead] = (red, i)
-            self.depth = i
+                self.span.insert(flat)
+            self.block_rank.append(self.span.rank)
 
     def contains_at(self, P: UEAElement, truncation: int) -> bool:
         """Membership at a fixed truncation depth (no stability check)."""
         self._extend(truncation)
-        return not self._reduce(dict(P.coeffs), truncation)
+        return not self.span.reduce(P.coeffs, self.block_rank[truncation])
 
     def contains(self, P: UEAElement, buffer: int) -> bool:
         """Stability-checked membership; raises UnstableSpan on disagreement."""

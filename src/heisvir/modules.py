@@ -628,7 +628,8 @@ class EmbeddedModule(Module):
     The key (i, j) is the plain vector (d0 + lam d(-1))^i d0^j v; actions are
     computed by converting to the plain basis, applying embedded_action and
     converting back (the change of basis is triangular in the d(-1)-degree,
-    invertible because lam != 0).
+    invertible because lam != 0).  Keys print as E^i(d0^j(v)), where E
+    names the operator d0 + lam d(-1); a zero exponent drops its factor.
     """
 
     name = "embedded"
@@ -696,4 +697,4 @@ class EmbeddedModule(Module):
     def key_str(self, key):
         i, j = key
         inner = "v" if j == 0 else "d0^%d(v)" % j
-        return inner if i == 0 else "d0^%d(%s)" % (i, inner)
+        return inner if i == 0 else "E^%d(%s)" % (i, inner)

@@ -154,6 +154,13 @@ class LeftAction:
             vec = out
         return vec
 
+    def multiply(self, u: dict, v: dict) -> dict:
+        """u * v for maps monomial -> coefficient in normal form."""
+        out = {}
+        for mono, c in u.items():
+            axpy(out, c, self.apply_word(word_of(mono), v))
+        return out
+
 
 def straighten(words: dict) -> UEAElement:
     """Normal form of a combination of words (a map word -> coefficient)."""
@@ -171,11 +178,7 @@ def normal_form(word) -> UEAElement:
 
 def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
     """Associative product of U, with the result in normal form."""
-    action = LeftAction()
-    out = {}
-    for mono, c in u.items():
-        axpy(out, c, action.apply_word(word_of(mono), v.coeffs))
-    return UEAElement._trusted(out)
+    return UEAElement._trusted(LeftAction().multiply(u.coeffs, v.coeffs))
 
 
 def grade(u: UEAElement):

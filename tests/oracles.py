@@ -5,6 +5,8 @@
   nothing with the package's LeftAction kernel but the bracket.
 - example33_action: the closed-form action on the (i, j) basis of the r = 1
   shift-embedded module, independent of embedded_action.
+- rref_dense: plain rational Gauss-Jordan on dense rows, sharing nothing with
+  the package's sparse fraction-free Echelon.
 """
 
 from heisvir.algebra import Q, bracket_gens, gen_order_key
@@ -105,3 +107,26 @@ def example33_action(mu, kappa, lam, g, key):
             for l, cl in inner2.items():
                 add((k, l), c2 * cl)
     return out
+
+
+def rref_dense(rows, ncols):
+    """Reduced row echelon form of dense rational rows: (rows, pivot columns)."""
+    rows = [[Q(v) for v in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots

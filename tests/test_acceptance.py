@@ -31,6 +31,7 @@ from heisvir.criteria import (
     whittaker_simplicity,
 )
 from heisvir.linsearch import (
+    GENERIC_HW,
     MembershipTester,
     maximal_submodule_gens,
     singular_vectors,
@@ -228,6 +229,17 @@ def _singular_vectors():
 
 def test_criterion_07_singular_vectors():
     _report(7, "singular-vectors", _singular_vectors)
+
+
+# Gate: the generic depth-8 singular search, a 285 x 185 exact system with an
+# empty kernel, in under 5 s (dense rational Gauss took 20.8 s on a 2-core host)
+
+
+def test_gate_generic_singular_search_depth_8():
+    t0 = time.perf_counter()
+    assert singular_vectors(GENERIC_HW, 8).vectors == []
+    dt = time.perf_counter() - t0
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
 
 
 # 8. Tensor criterion recovers the closed a - p b condition and the

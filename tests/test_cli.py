@@ -1,4 +1,9 @@
+import pytest
+
+from heisvir import cli
 from heisvir.cli import main
+from heisvir.params import parse_param_arg
+from test_golden import CASES
 
 
 def run(capsys, *argv):
@@ -224,3 +229,11 @@ def test_membership_unstable_exit_codes(capsys, monkeypatch):
 
 def test_usage_error(capsys):
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("case", sorted(name for name in CASES if name.startswith("act_")))
+def test_key_str_names_window_keys_distinctly(case):
+    argv = CASES[case]
+    module = cli._build_module(argv[argv.index("--module") + 1], parse_param_arg(argv[argv.index("--params") + 1]))
+    keys = cli._window_keys(module, 4)
+    assert len({module.key_str(k) for k in keys}) == len(keys)

@@ -1,8 +1,10 @@
 import random
+import time
 
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisvir.algebra import d, I, lie_sum
 from heisvir.errors import ExprError, IntegerOverflow, ParamError
@@ -16,6 +18,7 @@ from heisvir.expr import (
     parse_lie,
     parse_uea,
     print_expr,
+    to_uea,
     to_words,
 )
 from heisvir.params import (
@@ -26,7 +29,7 @@ from heisvir.params import (
     parse_param_text,
     whittaker_character,
 )
-from heisvir.pbw import normal_form
+from heisvir.pbw import normal_form, straighten
 
 
 def test_parse_sum_of_products():
@@ -122,6 +125,34 @@ def test_parser_fuzz_only_expr_errors():
 def test_to_uea_matches_normal_form():
     assert parse_uea("d(-1)*I(-2)") == normal_form((d(-1), I(-2)))
     assert parse_uea("d(1)*d(-1) - 2*d(0)") == normal_form((d(1), d(-1))) - 2 * normal_form((d(0),))
+
+
+trees = st.recursive(
+    st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Num),
+        st.sampled_from([d(-2), d(-1), d(0), d(1), d(2), I(-1), I(0), I(1), ("z", 1), ("z", 3)]).map(Gen),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Pow, sub, st.integers(0, 3)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.lists(st.tuples(st.sampled_from((1, -1)), sub), min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+def test_to_uea_matches_straightened_words(tree):
+    assert to_uea(tree) == straighten(to_words(tree))
+
+
+def test_power_of_sum_lowers_quickly():
+    # expanding into 2^16 unstraightened words took over a minute
+    t0 = time.perf_counter()
+    u = parse_uea("(d(1)+d(-1))^16")
+    assert time.perf_counter() - t0 < 5
+    assert u == parse_uea("(d(1)+d(-1))^8*(d(1)+d(-1))^8")
 
 
 def test_parse_lie():

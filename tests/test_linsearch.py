@@ -3,12 +3,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisvir.algebra import d, I
 from heisvir.criteria import rho
 from heisvir.errors import NotNegativePart, PreconditionZ3
 from heisvir.linsearch import (
     GENERIC_HW,
+    Echelon,
     MatrixQ,
     MembershipTester,
     check_positive_generation,
@@ -28,6 +30,7 @@ from heisvir.modules import (
     act,
 )
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, uea
+from oracles import rref_dense
 
 
 def test_nullspace_examples():
@@ -40,13 +43,90 @@ def test_nullspace_examples():
     assert v[0] * 1 + v[1] * 2 == 0 and any(v)
 
 
-def test_nullspace_methods_agree():
-    rng = random.Random(31)
-    for _ in range(25):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        M = MatrixQ([[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)] for _ in range(nr)])
-        assert nullspace(M, "gauss") == nullspace(M, "bareiss")
-        assert rref(M, "gauss") == rref(M, "bareiss")
+def _entries():
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    huge = st.builds(
+        lambda n, sign, den: Q(sign * n, den),
+        st.integers(10**12 - 9, 10**12 + 9),
+        st.sampled_from((1, -1)),
+        st.integers(1, 30),
+    )
+    return st.one_of(st.just(Q(0)), st.just(Q(0)), small, huge)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rank-deficient sparse rows: combinations of a few random rows, zero columns, shuffled."""
+    nr = draw(st.integers(1, 7))
+    nc = draw(st.integers(1, 7))
+    cell = _entries()
+    base = [[draw(cell) for _ in range(nc)] for _ in range(draw(st.integers(1, nr)))]
+    rows = list(base)
+    while len(rows) < nr:
+        coeffs = [draw(st.integers(-3, 3)) for _ in base]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(nc)])
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=nc - 1)):
+        for r in rows:
+            r[j] = Q(0)
+    return draw(st.permutations(rows)), nc
+
+
+def _dense_kernel(rows, nc):
+    ech, pivots = rref_dense(rows, nc)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [Q(0)] * nc
+        vec[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -ech[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rref_and_nullspace_match_dense_oracle(matrix):
+    rows, nc = matrix
+    M = MatrixQ(rows)
+    assert rref(M) == rref_dense(rows, nc)
+    kernel = nullspace(M)
+    assert kernel == _dense_kernel(rows, nc)
+    assert rank(M) + len(kernel) == nc
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_insert_residue_is_zero_exactly_when_rank_stays(matrix):
+    rows, nc = matrix
+    span = Echelon.over(range(nc))
+    for i, row in enumerate(rows):
+        residue = span.insert(dict(enumerate(row)))
+        grew = len(rref_dense(rows[: i + 1], nc)[1]) > len(rref_dense(rows[:i], nc)[1])
+        assert bool(residue) == grew
+        assert span.rank == len(rref_dense(rows[: i + 1], nc)[1])
+    assert sorted(span.pivots) == rref_dense(rows, nc)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_reduction_limited_to_first_pivots_matches_fresh_engine(matrix, data):
+    rows, nc = matrix
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows)), max_size=3)) | {len(rows)})
+    blocks = [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+    probe = dict(enumerate(data.draw(st.lists(_entries(), min_size=nc, max_size=nc))))
+    span = Echelon.over(range(nc))
+    block_rank = [0]
+    for block in blocks:
+        for row in block:
+            span.insert(dict(enumerate(row)))
+        block_rank.append(span.rank)
+    for k in range(len(blocks) + 1):
+        fresh = Echelon.over(range(nc))
+        for block in blocks[:k]:
+            for row in block:
+                fresh.insert(dict(enumerate(row)))
+        for vec in [probe] + [dict(enumerate(row)) for row in rows]:
+            assert span.reduce(vec, block_rank[k]) == fresh.reduce(vec)
 
 
 def test_rank_nullity():
