@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations_with_replacement
 
 from . import criteria, linsearch, params as paramsmod
 from .algebra import AutomorphismSpec, bracket, jacobi_check, sigma_hom_check
@@ -43,7 +42,6 @@ from .modules import (
     act_uea,
     module_axiom_check,
 )
-from .pbw import UNIT, mono_of_sorted_word, negative_part_basis
 
 USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
@@ -108,71 +106,6 @@ def _build_module(variant: str, p: dict):
         r, mu, kappa = paramsmod.mu_kappa(p)
         return WMuKappaModule(r, mu, kappa)
     raise ParamError("unknown module variant: %r" % variant)
-
-
-def _parse_vector_key(module, text: str):
-    text = text.strip()
-    if isinstance(module, IntermediateSeriesModule):
-        if text.startswith("x^"):
-            text = text[2:]
-        return module.vector(int(text))
-    if isinstance(module, OmegaModule):
-        return module.vector(int(text))
-    if isinstance(module, EmbeddedModule):
-        i, _, j = text.partition(",")
-        return module.vector((int(i), int(j)))
-    if isinstance(module, ShiftedTensorModule):
-        head, _, tail = text.partition("@")
-        tail = tail.strip()
-        if tail.startswith("y^"):
-            tail = tail[2:]
-        y = int(tail)
-        base = module.vector((UNIT, y))
-        if head.strip() in ("1", "w"):
-            return base
-        return act_uea(parse_uea(head), base)
-    # induced variants: the key expression acts on the cyclic vector
-    base = module.vector(UNIT)
-    if text in ("1", "w", "v"):
-        return base
-    return act_uea(parse_uea(text), base)
-
-
-def _window_keys(module, size: int):
-    if isinstance(module, IntermediateSeriesModule):
-        return list(range(-size, size + 1))
-    if isinstance(module, OmegaModule):
-        return list(range(0, size + 1))
-    if isinstance(module, EmbeddedModule):
-        return [(i, j) for i in range(size + 1) for j in range(size + 1 - i)]
-    if isinstance(module, ShiftedTensorModule):
-        keys = [(UNIT, y) for y in range(-size, size + 1)]
-        keys += [(m, y) for m in negative_part_basis(1) for y in range(-size, size + 1)]
-        return keys
-    keys = [UNIT]
-    for deg in range(1, size + 1):
-        if isinstance(module, WMuKappaModule):
-            keys += _wmukappa_window(module, deg)
-        elif isinstance(module, FockModule):
-            keys += negative_part_basis(deg, restrict=lambda g: g[0] == "I")
-        elif isinstance(module, WhittakerModule):
-            keys += _whittaker_window(module, deg)
-        else:
-            keys += negative_part_basis(deg)
-    return keys
-
-
-def _wmukappa_window(module, deg):
-    # the generators are listed in PBW order, so every combination is a sorted word
-    gens = [("d", j) for j in range(-1, module.r)]
-    return [mono_of_sorted_word(word) for word in combinations_with_replacement(gens, deg)]
-
-
-def _whittaker_window(module, deg):
-    # low-lying complement monomials: words in I(-1), d(j) (j < m) of the
-    # given length, enough for a spot check; listed in PBW order as above
-    gens = [("I", -1)] + [("d", j) for j in range(0, module.character.m)]
-    return [mono_of_sorted_word(word) for word in combinations_with_replacement(gens, deg)]
 
 
 def _parse_sigma_coeffs(text: str) -> dict:
@@ -296,7 +229,7 @@ def _cmd_membership(args, out):
 def _cmd_module_check(args, out):
     p = paramsmod.parse_param_arg(args.params)
     module = _build_module(args.module, p)
-    window = _window_keys(module, args.window)
+    window = module.window(args.window)
     violations = module_axiom_check(module, args.bound, window)
     out.line(
         "violations",
@@ -311,7 +244,7 @@ def _cmd_module_check(args, out):
 def _cmd_act(args, out):
     p = paramsmod.parse_param_arg(args.params)
     module = _build_module(args.module, p)
-    vec = _parse_vector_key(module, args.vector)
+    vec = module.parse_key(args.vector)
     result = act_uea(parse_uea(args.expr), vec)
     out.line("result", result, human=str(result))
     return 0

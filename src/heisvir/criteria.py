@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import Q, basis_window, gen_weight
 from .errors import NotNegativePart
 from .linsearch import Echelon
-from .modules import ISParams, WhittakerCharacter
+from .modules import ISParams, WhittakerCharacter, WMuKappaModule
 from .pbw import UEAElement, word_of
 
 
@@ -333,14 +333,9 @@ def w_mu_kappa_simple(r, mu, kappa) -> SimplicityVerdict:
     mu is indexed r..2r, kappa indexed 0..r; simple iff
     (mu_{2r}, mu_{2r-1}, kappa_r) is not identically zero.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    mu = [Q(v) for v in mu]
-    kappa = [Q(v) for v in kappa]
-    if len(mu) != r + 1 or len(kappa) != r + 1:
-        raise ValueError("mu has entries r..2r and kappa has entries 0..r")
-    triple = (mu[r], mu[r - 1], kappa[r])
+    module = WMuKappaModule(r, mu, kappa)  # validates r, mu and kappa
+    r = module.r
+    triple = (module.mu[r], module.mu[r - 1], module.kappa[r])
     if any(triple):
         return simple("(mu_2r, mu_2r-1, kappa_r) = (%s, %s, %s)" % triple)
     return not_simple("(mu_2r, mu_2r-1, kappa_r) = (0, 0, 0)")

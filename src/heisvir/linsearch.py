@@ -27,7 +27,6 @@ from .modules import (
     WhittakerCharacter,
     WhittakerModule,
     act,
-    act_uea,
 )
 from .pbw import (
     UEAElement,
@@ -277,13 +276,33 @@ def check_positive_generation(window: int) -> bool:
     return True
 
 
-def _action_rows(module, gen, src_keys):
-    """Sparse rows (one per target key) of a generator action out of a key window."""
+def _verified_kernel(module, keys, conditions) -> list:
+    """Vectors over keys on which each generator of conditions acts by its value.
+
+    conditions lists (generator, value) pairs; the vectors are the kernel of
+    the stacked maps act_gen(generator) - value over keys, and each one is
+    re-verified by direct action before it is returned.
+    """
     rows = {}
-    for j, k in enumerate(src_keys):
-        for target, c in module.act_gen(gen, k).items():
-            rows.setdefault(target, {})[j] = c
-    return list(rows.values())
+    for ci, (gen, value) in enumerate(conditions):
+        for j, key in enumerate(keys):
+            image = module.act_gen(gen, key)
+            if value:
+                image = axpy(dict(image), -value, {key: ONE})
+            for target, c in image.items():
+                rows.setdefault((ci, target), {})[j] = c
+    vectors = []
+    for vec in nullspace(MatrixQ.sparse(list(rows.values()), len(keys))):
+        mv = ModuleVector(module, {k: c for k, c in zip(keys, vec) if c})
+        for gen, value in conditions:
+            if act(gen, mv) != value * mv:
+                raise AssertionError("kernel vector fails the defining conditions")
+        vectors.append(mv)
+    return vectors
+
+
+# the positive part annihilates a singular vector
+_ANNIHILATED = [(g, Q(0)) for g in POSITIVE_GENERATORS]
 
 
 def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
@@ -294,19 +313,7 @@ def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    module = VermaModule(hw)
-    src = weight_basis(degree)
-    rows = []
-    for gen in POSITIVE_GENERATORS:
-        rows.extend(_action_rows(module, gen, src))
-    M = MatrixQ.sparse(rows, len(src))
-    vectors = []
-    for vec in nullspace(M):
-        mv = ModuleVector(module, {k: c for k, c in zip(src, vec) if c})
-        for gen in POSITIVE_GENERATORS:
-            if act(gen, mv):
-                raise AssertionError("singular candidate not annihilated")
-        vectors.append(mv)
+    vectors = _verified_kernel(VermaModule(hw), weight_basis(degree), _ANNIHILATED)
     return SearchResult(vectors, "complete", degree=degree)
 
 
@@ -330,15 +337,17 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    module = VermaModule(hw)
     gens = []  # (UEAElement, degree, ModuleVector)
     for degree in range(1, max_degree + 1):
-        found = singular_vectors(hw, degree).vectors
+        keys = weight_basis(degree)
+        found = _verified_kernel(module, keys, _ANNIHILATED)
         if not found:
             continue
-        span = Echelon.over(weight_basis(degree))
+        span = Echelon.over(keys)
         for _, p, mv in gens:
             for mono in negative_part_basis(degree - p):
-                span.insert(act_uea(UEAElement({mono: Q(1)}), mv).coeffs)
+                span.insert(module.apply_word(word_of(mono), mv.coeffs))
         for mv in found:
             if span.insert(mv.coeffs):
                 gens.append((_uea_of_vector(mv), degree, mv))
@@ -379,29 +388,12 @@ def whittaker_vector_search(char: WhittakerCharacter) -> SearchResult:
     if char.z3 != 0:
         raise PreconditionZ3("the ansatz search requires a zero z3 value")
     m = char.m
-    module = WhittakerModule(char)
     ansatz = [((d(i), 1),) for i in range(0, m)]
     ansatz += [((I(-i), 1),) for i in range(1, m + 2)]
     ansatz.append(((I(-1), 2),))
-    conditions = [d(m + i) for i in range(0, m + 1)]
-    conditions += [I(1 + i) for i in range(0, m + 1)]
-    rows = {}
-    for ci, gen in enumerate(conditions):
-        phi_val = char.value(gen)
-        for j, mono in enumerate(ansatz):
-            image = axpy(dict(module.act_gen(gen, mono)), -phi_val, {mono: ONE})
-            for key, c in image.items():
-                rows.setdefault((ci, key), {})[j] = c
-    M = MatrixQ.sparse(list(rows.values()), len(ansatz))
-    kernel = nullspace(M)
-    vectors = []
-    for vec in kernel:
-        mv = ModuleVector(module, {k: c for k, c in zip(ansatz, vec) if c})
-        for gen in conditions:
-            if act(gen, mv) != char.value(gen) * mv:
-                raise AssertionError("search result fails the defining conditions")
-        vectors.append(mv)
-    return SearchResult(vectors, "complete", num_variables=len(ansatz), rank=len(ansatz) - len(kernel))
+    gens = [d(m + i) for i in range(0, m + 1)] + [I(1 + i) for i in range(0, m + 1)]
+    vectors = _verified_kernel(WhittakerModule(char), ansatz, [(g, char.value(g)) for g in gens])
+    return SearchResult(vectors, "complete", num_variables=len(ansatz), rank=len(ansatz) - len(vectors))
 
 
 GENERIC_HW = HWParams(i0=Q(2, 3), d0=Q(5, 7), z1=Q(1), z2=Q(1, 3), z3=Q(2))
@@ -432,12 +424,12 @@ class MembershipTester:
     def _extend(self, depth: int):
         while len(self.block_rank) <= depth:
             i = len(self.block_rank)
-            start = self.module.vector((UNIT, self.n + i))
+            start = {(UNIT, self.n + i): ONE}
             for mono in negative_part_basis(i):
-                img = act_uea(UEAElement({mono: Q(1)}), start)
+                img = self.module.apply_word(word_of(mono), start)
                 # weight -i against y-exponent n+i lands back in the n-slice
                 flat = {}
-                for (m2, y), c in img.coeffs.items():
+                for (m2, y), c in img.items():
                     if y != self.n:
                         raise AssertionError("spanning vector escaped the slice")
                     flat[m2] = c

@@ -6,15 +6,9 @@ subalgebra and character, so they share one algorithm with the PBW normal
 form.  The remaining variants (intermediate series, Fock oscillator, shifted
 tensor, the two shift-embedded families) act through explicit formulas.
 Vectors of every variant are ModuleVectors, the sparse-vector core of
-algebra.SparseVector tied to their module.
-
-Basis keys are per-variant:
-
-    Verma / Whittaker / Fock   PBW monomial over the free generators
-    IntermediateSeries         integer m for the basis vector x^m
-    ShiftedTensor              (monomial, integer) for u w (x) y^i
-    Omega                      integer i for the outer-power basis
-    Embedded (r = 1)           pair (i, j) of outer/inner powers
+algebra.SparseVector tied to their module.  Each variant owns its basis
+keys: act_gen acts on them, key_str names them, parse_key reads the vector a
+command-line key names and window lists the first keys for spot checks.
 
 All values are immutable after construction and actions are pure; the only
 mutable state is per-instance memo dicts of frozen results, so concurrent
@@ -25,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .algebra import (
     ONE,
@@ -46,7 +41,9 @@ from .errors import (
     NeedNonzeroZ3,
     UnsupportedGenerator,
 )
+from .expr import parse_uea
 from .pbw import (
+    Action,
     LeftAction,
     Monomial,
     UEAElement,
@@ -56,6 +53,7 @@ from .pbw import (
     mono_sort_key,
     mono_str,
     mono_weight,
+    negative_part_basis,
     word_of,
 )
 
@@ -140,10 +138,8 @@ class VirWhittakerCharacter:
     d_vals: dict
     z1: Q
 
-    def d_val(self, k: int) -> Q:
-        if k < self.m:
-            raise ValueError("d(%d) is outside the character domain" % k)
-        return self.d_vals.get(k, Q(0)) if k <= 2 * self.m else Q(0)
+    # the same rule on the window m..2m as the full character
+    d_val = WhittakerCharacter.d_val
 
 
 def phi_prime(char: WhittakerCharacter) -> VirWhittakerCharacter:
@@ -172,7 +168,7 @@ def gen_binom(n: int, k: int) -> Q:
     return Q(num, math.factorial(k))
 
 
-class Module:
+class Module(Action):
     """Base class: a module is a table of generator actions on basis keys."""
 
     name = "module"
@@ -180,14 +176,17 @@ class Module:
     def supports(self, g: Generator) -> bool:
         return True
 
-    def act_gen(self, g: Generator, key):
-        raise NotImplementedError
-
     def key_sort(self, key):
         return key
 
     def key_str(self, key) -> str:
         return str(key)
+
+    def window(self, size: int) -> list:
+        """The basis keys of the spot-check window of the given size (>= 0), from _window."""
+        if size < 0:
+            raise ValueError("window size must be >= 0")
+        return self._window(size)
 
     def vector(self, coeffs) -> "ModuleVector":
         """Build a vector from a key or a key -> coefficient map."""
@@ -245,14 +244,24 @@ def act(x, v: ModuleVector) -> ModuleVector:
 
 
 def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
-    """Action of an enveloping-algebra element: fold each monomial right to left."""
-    out = {}
-    for mono, c in u.items():
-        cur = v
-        for g in reversed(word_of(mono)):
-            cur = act(g, cur)
-        axpy(out, c, cur.coeffs)
-    return v._new(out)
+    """Action of an enveloping-algebra element: each monomial folded in from the right.
+
+    Every letter must act on the module, even where the vector is zero.
+    """
+    module = v.module
+    for mono in u.coeffs:
+        # in the order the letters act, so the first that cannot is reported
+        for g, _ in reversed(mono):
+            if not module.supports(g):
+                raise UnsupportedGenerator("%s does not act on %s" % (gen_str(g), module.name))
+    return v._new(module.multiply(u.coeffs, v.coeffs))
+
+
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError("key exponents must be >= 0, got %d" % n)
+    return n
 
 
 def module_axiom_check(module: Module, index_bound: int, window):
@@ -276,7 +285,38 @@ def module_axiom_check(module: Module, index_bound: int, window):
     return violations
 
 
-class InducedModule(LeftAction, Module):
+class MonomialModule(Module):
+    """A module whose basis keys are PBW monomials acting on a cyclic vector.
+
+    A command-line key is a monomial expression applied to the cyclic
+    vector; the window of size s lists the unit and then, for each degree
+    1..s, the keys that degree_keys names.
+    """
+
+    def key_sort(self, key):
+        return mono_sort_key(key)
+
+    def key_str(self, key):
+        return "w" if key == UNIT else mono_str(key) + "*w"
+
+    def cyclic(self) -> ModuleVector:
+        return self.vector(UNIT)
+
+    def parse_key(self, text):
+        """A monomial expression acting on the cyclic vector; 1, w or v name it."""
+        text = text.strip()
+        return self.cyclic() if text in ("1", "w", "v") else act_uea(parse_uea(text), self.cyclic())
+
+    def _window(self, size):
+        return [UNIT] + [k for deg in range(1, size + 1) for k in self.degree_keys(deg)]
+
+
+def _sorted_words(gens, deg: int) -> list:
+    """Every monomial of length deg in gens, which are listed in PBW order."""
+    return [mono_of_sorted_word(word) for word in combinations_with_replacement(gens, deg)]
+
+
+class InducedModule(LeftAction, MonomialModule):
     """Module induced from a character of a subalgebra.
 
     Basis keys are PBW monomials over the complement generators, read as
@@ -289,15 +329,6 @@ class InducedModule(LeftAction, Module):
     # bound in this class as well as inherited, so that code wrapping
     # InducedModule.act_gen (the benchmark's call counter) sees every call
     act_gen = LeftAction.act_gen
-
-    def key_sort(self, key):
-        return mono_sort_key(key)
-
-    def key_str(self, key):
-        return "w" if key == UNIT else mono_str(key) + "*w"
-
-    def cyclic(self) -> ModuleVector:
-        return self.vector(UNIT)
 
 
 class VermaModule(InducedModule):
@@ -321,6 +352,9 @@ class VermaModule(InducedModule):
             return Q(0)
         return self.hw.i0 if kind == "I" else self.hw.d0
 
+    def degree_keys(self, deg):
+        return negative_part_basis(deg)
+
 
 class WhittakerModule(InducedModule):
     """Universal Whittaker module for a given order-m character."""
@@ -341,6 +375,10 @@ class WhittakerModule(InducedModule):
 
     def char(self, g: Generator) -> Q:
         return self.character.value(g)
+
+    def degree_keys(self, deg):
+        # low-lying complement monomials in I(-1), d(j) (j < m), enough for a spot check
+        return _sorted_words([("I", -1)] + [("d", j) for j in range(self.character.m)], deg)
 
 
 class WMuKappaModule(InducedModule):
@@ -392,8 +430,11 @@ class WMuKappaModule(InducedModule):
     def key_str(self, key):
         return "v" if key == UNIT else mono_str(key) + "*v"
 
+    def degree_keys(self, deg):
+        return _sorted_words([("d", j) for j in range(-1, self.r)], deg)
 
-class FockModule(Module):
+
+class FockModule(MonomialModule):
     """Highest weight Heisenberg module extended by the quadratic action.
 
     Basis keys are monomials in I(-j), j >= 1, on the vacuum.  The z-family
@@ -433,12 +474,6 @@ class FockModule(Module):
                 return {smaller: Q(e * n) * self.z3}
         return {}
 
-    def _apply_heis(self, n: int, table):
-        out = {}
-        for k, c in table.items():
-            axpy(out, c, self._heis(n, k))
-        return out
-
     def d_action(self, k: int, key: Monomial, extra: int = 0):
         """Action of d(k) through the truncated quadratic sum.
 
@@ -452,7 +487,7 @@ class FockModule(Module):
         for i in range(-bound, bound + 1):
             pair = (-i, i + k)
             first, second = max(pair), min(pair)
-            axpy(out, coeff, self._apply_heis(second, self._heis(first, key)))
+            axpy(out, coeff, self.apply_word((("I", second), ("I", first)), {key: ONE}))
         lin = (k + 1) * self.z2 / self.z3
         if lin:
             axpy(out, lin, self._heis(k, key))
@@ -473,11 +508,8 @@ class FockModule(Module):
         self._memo[(g, key)] = out
         return out
 
-    def key_sort(self, key):
-        return mono_sort_key(key)
-
-    def key_str(self, key):
-        return "w" if key == UNIT else mono_str(key) + "*w"
+    def degree_keys(self, deg):
+        return negative_part_basis(deg, restrict=lambda g: g[0] == "I")
 
     def vacuum(self) -> ModuleVector:
         return self.vector(UNIT)
@@ -503,6 +535,13 @@ class IntermediateSeriesModule(Module):
 
     def key_str(self, key):
         return "x^%d" % key
+
+    def parse_key(self, text):
+        text = text.strip()
+        return self.vector(int(text[2:] if text.startswith("x^") else text))
+
+    def _window(self, size):
+        return list(range(-size, size + 1))
 
 
 class ShiftedTensorModule(Module):
@@ -539,8 +578,18 @@ class ShiftedTensorModule(Module):
 
     def key_str(self, key):
         mono, i = key
-        head = "w" if mono == UNIT else mono_str(mono) + "*w"
-        return "%s@y^%d" % (head, i)
+        return "%s@y^%d" % (self.inner.key_str(mono), i)
+
+    def parse_key(self, text):
+        """WORD@Y: the word acting on w (x) y^Y."""
+        head, _, tail = text.partition("@")
+        tail = tail.strip()
+        base = self.vector((UNIT, int(tail[2:] if tail.startswith("y^") else tail)))
+        return base if head.strip() in ("1", "w") else act_uea(parse_uea(head), base)
+
+    def _window(self, size):
+        ys = range(-size, size + 1)
+        return [(UNIT, y) for y in ys] + [(m, y) for m in negative_part_basis(1) for y in ys]
 
 
 class OmegaModule(Module):
@@ -585,6 +634,12 @@ class OmegaModule(Module):
 
     def key_str(self, key):
         return "v" if key == 0 else "d0^%d(v)" % key
+
+    def parse_key(self, text):
+        return self.vector(_nonnegative(text))
+
+    def _window(self, size):
+        return list(range(size + 1))
 
 
 def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
@@ -698,3 +753,11 @@ class EmbeddedModule(Module):
         i, j = key
         inner = "v" if j == 0 else "d0^%d(v)" % j
         return inner if i == 0 else "E^%d(%s)" % (i, inner)
+
+    def parse_key(self, text):
+        """i,j: the vector (d0 + lam d(-1))^i d0^j v, with i, j >= 0."""
+        i, _, j = text.partition(",")
+        return self.vector((_nonnegative(i), _nonnegative(j)))
+
+    def _window(self, size):
+        return [(i, j) for i in range(size + 1) for j in range(size + 1 - i)]

@@ -9,11 +9,11 @@ multiplication of a normal monomial by one generator.  A generator that must
 move past the head power h^e of a monomial is commuted through it one factor
 at a time, g * h^k * rest = h * (g * h^(k-1) * rest) + [g, h] * h^(k-1) * rest,
 which terminates because every step either shortens the product or moves g
-towards its place.  Words are
-straightened by folding their letters in from the right, products of normal
-forms likewise, and an induced module is the same kernel with the generators
-of a subalgebra absorbed on the cyclic vector by a character; U acting on
-itself is the module induced from the zero subalgebra.
+towards its place.  Words are straightened by folding their letters in from
+the right (Action, the fold every module shares), products of normal forms
+likewise, and an induced module is the same kernel with the generators of a
+subalgebra absorbed on the cyclic vector by a character; U acting on itself
+is the module induced from the zero subalgebra.
 """
 
 from __future__ import annotations
@@ -93,16 +93,41 @@ def uea(g: Generator) -> UEAElement:
     return UEAElement({((g, 1),): ONE})
 
 
-class LeftAction:
+class Action:
+    """Generators acting on basis keys; words and normal forms act by a fold.
+
+    Subclasses define act_gen(g, key), the image of one key as a map key ->
+    coefficient, which callers must not mutate.  apply_word and multiply fold
+    letters in from the right over plain maps: the one word fold of the
+    package, shared by the straightening kernel and every module.
+    """
+
+    def apply_word(self, word, vec: dict) -> dict:
+        """word * vec for a map key -> coefficient, letters folded in from the right."""
+        for g in reversed(word):
+            out = {}
+            for key, c in vec.items():
+                axpy(out, c, self.act_gen(g, key))
+            vec = out
+        return vec
+
+    def multiply(self, u: dict, v: dict) -> dict:
+        """u * v for a map normal monomial -> coefficient u and a map key -> coefficient v."""
+        out = {}
+        for mono, c in u.items():
+            axpy(out, c, self.apply_word(word_of(mono), v))
+        return out
+
+
+class LeftAction(Action):
     """Memoized left multiplication of normal monomials by one generator.
 
     act_gen(g, mono) is g * mono in normal form, as a map monomial ->
     coefficient.  Subclasses for induced modules override in_subalgebra and
     define char: a subalgebra generator that reaches the unit (the cyclic
     vector) acts there by its character value.  The base class, with an empty
-    subalgebra, is U acting on itself.
-    Straightened results are memoized per instance and shared, so callers
-    must not mutate them.
+    subalgebra, is U acting on itself.  Straightened results are memoized
+    per instance.
     """
 
     def __init__(self):
@@ -143,22 +168,6 @@ class LeftAction:
                     axpy(out, c, self.act_gen(g2, lower))
                 memo[(g, upper)] = out
             lower = upper
-        return out
-
-    def apply_word(self, word, vec: dict) -> dict:
-        """word * vec for a map monomial -> coefficient, letters folded in from the right."""
-        for g in reversed(word):
-            out = {}
-            for mono, c in vec.items():
-                axpy(out, c, self.act_gen(g, mono))
-            vec = out
-        return vec
-
-    def multiply(self, u: dict, v: dict) -> dict:
-        """u * v for maps monomial -> coefficient in normal form."""
-        out = {}
-        for mono, c in u.items():
-            axpy(out, c, self.apply_word(word_of(mono), v))
         return out
 
 

@@ -7,12 +7,15 @@
   shift-embedded module, independent of embedded_action.
 - rref_dense: plain rational Gauss-Jordan on dense rows, sharing nothing with
   the package's sparse fraction-free Echelon.
+- act_uea_by_letters: the original action of an enveloping-algebra element,
+  one letter at a time through the Lie action `act`, with a ModuleVector
+  built per letter; the package folds plain maps instead.
 """
 
-from heisvir.algebra import Q, bracket_gens, gen_order_key
+from heisvir.algebra import Q, axpy, bracket_gens, gen_order_key
 from heisvir.errors import LambdaZero
-from heisvir.modules import gen_binom
-from heisvir.pbw import UEAElement, mono_of_sorted_word
+from heisvir.modules import act, gen_binom
+from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
 
 
 def _find_inversion(word, strategy):
@@ -130,3 +133,14 @@ def rref_dense(rows, ncols):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def act_uea_by_letters(u, v):
+    """Action of an enveloping-algebra element: fold each monomial right to left."""
+    out = {}
+    for mono, c in u.items():
+        cur = v
+        for g in reversed(word_of(mono)):
+            cur = act(g, cur)
+        axpy(out, c, cur.coeffs)
+    return v._new(out)

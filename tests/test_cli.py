@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from heisvir import cli
 from heisvir.cli import main
 from heisvir.params import parse_param_arg
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 
 def run(capsys, *argv):
@@ -193,9 +198,6 @@ def test_porcelain_byte_stability(capsys):
 
 
 def test_porcelain_byte_stability_across_processes():
-    import subprocess
-    import sys
-
     argv = [
         sys.executable,
         "-m",
@@ -231,9 +233,83 @@ def test_usage_error(capsys):
     assert main(["no-such-command"]) == 1
 
 
-@pytest.mark.parametrize("case", sorted(name for name in CASES if name.startswith("act_")))
-def test_key_str_names_window_keys_distinctly(case):
+ACT_CASES = sorted(name for name in CASES if name.startswith("act_"))
+
+
+def _variant(case):
+    """(variant, params) of a golden act case."""
     argv = CASES[case]
-    module = cli._build_module(argv[argv.index("--module") + 1], parse_param_arg(argv[argv.index("--params") + 1]))
-    keys = cli._window_keys(module, 4)
+    return argv[argv.index("--module") + 1], argv[argv.index("--params") + 1]
+
+
+def _case_module(case):
+    variant, params = _variant(case)
+    return cli._build_module(variant, parse_param_arg(params))
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_key_str_names_window_keys_distinctly(case):
+    module = _case_module(case)
+    keys = module.window(4)
     assert len({module.key_str(k) for k in keys}) == len(keys)
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_window_matches_golden(case):
+    # recorded from the command line's window builder before each module owned its window
+    with open(os.path.join(GOLDEN, "windows_3.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    module = _case_module(case)
+    assert [module.key_str(k) for k in module.window(3)] == golden[_variant(case)[0]]
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_negative_window_is_usage_error(capsys, case):
+    variant, params = _variant(case)
+    code, out, err = run(capsys, "module-check", "--module", variant, "--params", params, "--bound", "1", "--window", "-1")
+    assert code == 1
+    assert out == "" and "window size" in err
+
+
+@pytest.mark.parametrize(
+    "variant,params,key",
+    [
+        ("embedded", "(r=1,mu1=1,mu2=2,kappa0=3,kappa1=1/2,lambda=2)", "-1,0"),
+        ("embedded", "(r=1,mu1=1,mu2=2,kappa0=3,kappa1=1/2,lambda=2)", "0,-2"),
+        ("embedded", "(r=1,mu1=1,mu2=2,kappa0=3,kappa1=1/2,lambda=2)", "1"),
+        ("omega", "(lambda=2,d0dot=1/3,I0dot=3)", "-2"),
+        ("iseries", "(a=1/2,b=2,F=3)", "x^y"),
+        ("shifted", "(I0dot=1,d0dot=2,z2dot=1,z3dot=1,a=1/2,b=0,F=1)", "I(-1)"),
+    ],
+)
+def test_out_of_range_key_is_usage_error(capsys, variant, params, key):
+    code, out, err = run(capsys, "act", "--module", variant, "--params", params, "--", "d(1)", key)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+def test_cli_needs_no_test_only_packages():
+    # sympy and hypothesis serve the tests and the benchmark only; with both
+    # unimportable the whole golden corpus still runs and matches
+    script = (
+        "import json, sys\n"
+        "sys.modules['sympy'] = sys.modules['hypothesis'] = None\n"
+        "from heisvir.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(main(argv + ['--porcelain']))\n"
+    )
+    names = sorted(CASES)
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([CASES[n] for n in names])],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ""
+    for name in names:
+        with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8") as fh:
+            expected += fh.read() + "0\n"
+    assert proc.stdout == expected

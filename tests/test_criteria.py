@@ -206,3 +206,16 @@ def test_w_mu_kappa_examples():
     assert w_mu_kappa_simple(1, [0, 0], [0, 7]).is_simple
     assert not w_mu_kappa_simple(2, [4, 0, 0], [1, 2, 0]).is_simple
     assert w_mu_kappa_simple(2, [0, 1, 0], [0, 0, 0]).is_simple
+
+
+@pytest.mark.parametrize(
+    "r,mu,kappa,message",
+    [
+        (0, [], [], "r must be >= 1"),
+        (1, [1], [0, 0], "mu has entries r..2r"),
+        (2, [1, 2, 3], [0, 0], "mu has entries r..2r"),
+    ],
+)
+def test_w_mu_kappa_rejects_bad_data(r, mu, kappa, message):
+    with pytest.raises(ValueError, match=message):
+        w_mu_kappa_simple(r, mu, kappa)

@@ -24,8 +24,11 @@ from heisvir.modules import (
     module_axiom_check,
     phi_prime,
 )
+from heisvir.expr import parse_uea
 from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, uea, word_of
-from oracles import example33_action
+from oracles import act_uea_by_letters, example33_action
+from test_cli import ACT_CASES, _case_module
+from test_golden import CASES
 
 HW = HWParams(i0=3, d0=Q(5, 2), z1=1, z2=Q(1, 2), z3=2)
 ISP = ISParams(a=Q(1, 2), b=Q(1, 3), F=2)
@@ -158,6 +161,8 @@ def test_phi_prime_example():
     assert pp.d_val(1) == 14
     assert pp.d_val(2) == 9
     assert pp.d_val(3) == 0
+    with pytest.raises(ValueError, match="outside the character domain"):
+        pp.d_val(0)
 
 
 def test_phi_prime_trivial_corrections():
@@ -322,3 +327,29 @@ def test_act_uea_compatible_with_multiply():
         u1 = uea(rng.choice(gens))
         u2 = uea(rng.choice(gens))
         assert act_uea(multiply(u1, u2), w) == act_uea(u1, act_uea(u2, w))
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_act_uea_fold_matches_letter_oracle(case):
+    module = _case_module(case)
+    # the case's own expression, and one with a power, a product and a constant
+    # in generators that act on every variant
+    exprs = [parse_uea(CASES[case][-2]), parse_uea("d(1)*I(0)^2 - 3*d(0)*d(-1) + 1/2")]
+    keys = module.window(2)
+    vectors = [module.vector(k) for k in keys]
+    vectors.append(module.vector({k: Q(i + 1, 2) for i, k in enumerate(keys)}))
+    for u in exprs:
+        for v in vectors:
+            assert act_uea(u, v) == act_uea_by_letters(u, v)
+
+
+@pytest.mark.parametrize("expr", ["I(-1)", "z3", "d(1)*I(-1)", "d(-1) + z3*d(0)"])
+def test_act_uea_rejects_unsupported_letters(expr):
+    W = WMuKappaModule(1, [1, 2], [3, Q(1, 2)])
+    u = parse_uea(expr)
+    for v in (W.cyclic(), W.vector(((d(0), 1),)), W.vector({})):
+        with pytest.raises(UnsupportedGenerator) as fold:
+            act_uea(u, v)
+        with pytest.raises(UnsupportedGenerator) as oracle:
+            act_uea_by_letters(u, v)
+        assert str(fold.value) == str(oracle.value)
