@@ -126,11 +126,54 @@ class AllIntegers:
 ALL_INTEGERS = AllIntegers()
 
 
+def _horner(ints, x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _root_floors(ints, bound: int) -> set:
+    """The floors of the real roots of the integer polynomial ints and of all
+    its derivatives, every such root lying strictly inside (-bound, bound).
+
+    Between the floors c < c' of consecutive derivative roots, ints is
+    monotone on [c + 1, c'], so that segment holds at most one root, whose
+    floor integer bisection finds.
+    """
+    if len(ints) < 2:
+        return set()
+    cuts = sorted(_root_floors([k * c for k, c in enumerate(ints)][1:], bound))
+    out = set(cuts)
+    for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
+        f_lo, f_hi = _horner(ints, lo), _horner(ints, hi)
+        if f_lo * f_hi > 0:
+            continue
+        if not f_hi:
+            lo = hi
+        # keep f(lo) != 0 with the sign opposite to f(hi), or stop at a root
+        while f_lo and hi - lo > 1:
+            mid = (lo + hi) // 2
+            f_mid = _horner(ints, mid)
+            if f_mid * f_lo >= 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        out.add(lo)
+    return out
+
+
 def integer_roots(p: NPoly):
     """Exact integer root set: a sorted list, or ALL_INTEGERS for the zero polynomial.
 
-    Works on the primitive integer form of p; candidates divide the trailing
-    coefficient, each is confirmed by exact evaluation.
+    Works on the primitive integer form of p with n^k factored out.  Every
+    real root r is bracketed to a unit interval [c, c + 1] with c = floor(r):
+    recursively, the brackets of p' cut [-B, B] (B the Cauchy bound) into
+    segments on which p is monotone, and integer bisection finds the sign
+    change in each.  An integer root is its own floor, so the roots are the
+    floors at which exact integer evaluation gives 0.  For degree d this
+    takes O(d^2 log B + d^3) Horner evaluations, polynomial in the bit size
+    of the coefficients.
     """
     if p.is_zero():
         return ALL_INTEGERS
@@ -147,16 +190,9 @@ def integer_roots(p: NPoly):
         roots.add(0)
         ints = ints[shift:]
     if len(ints) > 1:
-        a0 = abs(ints[0])
-        cand = set()
-        t = 1
-        while t * t <= a0:
-            if a0 % t == 0:
-                cand.update((t, -t, a0 // t, -(a0 // t)))
-            t += 1
-        for r in cand:
-            if p(r) == 0:
-                roots.add(r)
+        lead = abs(ints[-1])
+        bound = 1 + (max(abs(c) for c in ints[:-1]) + lead - 1) // lead
+        roots.update(c for c in _root_floors(ints, bound) if not _horner(ints, c))
     return sorted(roots)
 
 

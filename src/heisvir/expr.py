@@ -227,8 +227,10 @@ def print_expr(e) -> str:
 
 def _lower(e, letter, times) -> dict:
     """Flatten a tree into a map key -> coefficient: a generator g is the key
-    letter(g), the empty key is the unit, and the factors of a product are
-    folded in from the right by times(factor, product)."""
+    letter(g), the empty key is the unit, the factors of a product are
+    folded in from the right by times(left, right), and a power is taken by
+    repeated squaring, which gives the same map because times is
+    associative."""
     if isinstance(e, Num):
         return {(): e.value} if e.value else {}
     if isinstance(e, Gen):
@@ -238,14 +240,17 @@ def _lower(e, letter, times) -> dict:
         for sign, term in e.terms:
             axpy(out, Q(sign), _lower(term, letter, times))
         return out
-    if isinstance(e, Pow):
-        factors = [_lower(e.base, letter, times)] * e.exp
-    elif isinstance(e, Prod):
-        factors = [_lower(f, letter, times) for f in e.factors]
-    else:
-        raise TypeError("not an expression node: %r" % (e,))
     out = {(): ONE}
-    for f in reversed(factors):
+    if isinstance(e, Pow):
+        base = _lower(e.base, letter, times)
+        for bit in bin(e.exp)[2:]:
+            out = times(out, out)
+            if bit == "1":
+                out = times(base, out)
+        return out
+    if not isinstance(e, Prod):
+        raise TypeError("not an expression node: %r" % (e,))
+    for f in reversed([_lower(f, letter, times) for f in e.factors]):
         out = times(f, out)
     return out
 

@@ -257,8 +257,7 @@ def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
     return v._new(module.multiply(u.coeffs, v.coeffs))
 
 
-def _nonnegative(text: str) -> int:
-    n = int(text)
+def _nonnegative(n: int) -> int:
     if n < 0:
         raise ValueError("key exponents must be >= 0, got %d" % n)
     return n
@@ -617,7 +616,7 @@ class OmegaModule(Module):
         cached = self._memo.get((g, key))
         if cached is not None:
             return cached
-        out = self._act_gen(g, key)
+        out = self._act_gen(g, _nonnegative(key))
         self._memo[(g, key)] = out
         return out
 
@@ -636,7 +635,7 @@ class OmegaModule(Module):
         return "v" if key == 0 else "d0^%d(v)" % key
 
     def parse_key(self, text):
-        return self.vector(_nonnegative(text))
+        return self.vector(_nonnegative(int(text)))
 
     def _window(self, size):
         return list(range(size + 1))
@@ -740,6 +739,7 @@ class EmbeddedModule(Module):
         cached = self._memo.get((g, key))
         if cached is not None:
             return cached
+        _nonnegative(min(key))
         kind, _ = g
         if kind == "z":
             out = {}
@@ -757,7 +757,7 @@ class EmbeddedModule(Module):
     def parse_key(self, text):
         """i,j: the vector (d0 + lam d(-1))^i d0^j v, with i, j >= 0."""
         i, _, j = text.partition(",")
-        return self.vector((_nonnegative(i), _nonnegative(j)))
+        return self.vector((_nonnegative(int(i)), _nonnegative(int(j))))
 
     def _window(self, size):
         return [(i, j) for i in range(size + 1) for j in range(size + 1 - i)]

@@ -10,9 +10,17 @@
 - act_uea_by_letters: the original action of an enveloping-algebra element,
   one letter at a time through the Lie action `act`, with a ModuleVector
   built per letter; the package folds plain maps instead.
+- integer_roots_by_trial_division: the original integer-root finder, which
+  tries every divisor of the trailing coefficient up to its square root; the
+  package brackets real roots by bisection instead.
+- integer_roots_by_sympy: the integer roots among the rational roots that
+  sympy finds by factoring over the integers; sympy serves the tests only.
 """
 
+import math
+
 from heisvir.algebra import Q, axpy, bracket_gens, gen_order_key
+from heisvir.criteria import ALL_INTEGERS
 from heisvir.errors import LambdaZero
 from heisvir.modules import act, gen_binom
 from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
@@ -144,3 +152,46 @@ def act_uea_by_letters(u, v):
             cur = act(g, cur)
         axpy(out, c, cur.coeffs)
     return v._new(out)
+
+
+def integer_roots_by_trial_division(p):
+    """Exact integer root set: a sorted list, or ALL_INTEGERS for the zero polynomial.
+
+    Works on the primitive integer form of p; candidates divide the trailing
+    coefficient, each is confirmed by exact evaluation.
+    """
+    if p.is_zero():
+        return ALL_INTEGERS
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    roots = set()
+    # factor out n^k so the trailing coefficient is nonzero
+    shift = 0
+    while ints[shift] == 0:
+        shift += 1
+    if shift:
+        roots.add(0)
+        ints = ints[shift:]
+    if len(ints) > 1:
+        a0 = abs(ints[0])
+        cand = set()
+        t = 1
+        while t * t <= a0:
+            if a0 % t == 0:
+                cand.update((t, -t, a0 // t, -(a0 // t)))
+            t += 1
+        for r in cand:
+            if p(r) == 0:
+                roots.add(r)
+    return sorted(roots)
+
+
+def integer_roots_by_sympy(p):
+    """Sorted integer roots of a nonzero NPoly, read off sympy's factorisation."""
+    import sympy
+
+    n = sympy.Symbol("n")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], n)
+    return sorted(int(r) for r in poly.ground_roots() if r.is_integer)

@@ -10,6 +10,8 @@ import time
 
 from fractions import Fraction as Q
 
+import pytest
+
 from heisvir.algebra import (
     AutomorphismSpec,
     Z1,
@@ -23,13 +25,16 @@ from heisvir.algebra import (
     sigma_hom_check,
 )
 from heisvir.criteria import (
+    NPoly,
     annihilator_cover,
+    integer_roots,
     rho,
     rho_word,
     tensor_simplicity,
     w_mu_kappa_simple,
     whittaker_simplicity,
 )
+from heisvir.expr import parse_uea
 from heisvir.linsearch import (
     GENERIC_HW,
     MembershipTester,
@@ -52,7 +57,8 @@ from heisvir.modules import (
     phi_prime,
 )
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
-from oracles import example33_action
+from oracles import example33_action, integer_roots_by_sympy
+from test_golden import CASES, porcelain
 
 
 def _report(num, name, fn, limit=None):
@@ -265,6 +271,34 @@ def _tensor_recovery():
 
 def test_criterion_08_tensor_recovery():
     _report(8, "tensor-simplicity-recovery", _tensor_recovery)
+
+
+# Gates: integer roots in time polynomial in bit size.  Trial division up to
+# sqrt|a0| finished neither case below in 60 s.
+
+
+def test_gate_integer_roots_quadratic_1e28():
+    # (n - (10^14 + 7)) (2n - (10^14 + 1)): a0 ~ 10^28, one integer root
+    p = NPoly.linear(-(10**14 + 7), 1) * NPoly.linear(-(10**14 + 1), 2)
+    t0 = time.perf_counter()
+    assert integer_roots(p) == [10**14 + 7]
+    dt = time.perf_counter() - t0
+    assert dt < 1, "time limit 1s exceeded: %.2fs" % dt
+
+
+@pytest.mark.parametrize(
+    "case,a", [("tensor_large_a_half", Q(10**15 + 1, 2)), ("tensor_large_a_integral", Q(10**15 + 1))]
+)
+def test_gate_tensor_simple_large_a(case, a):
+    t0 = time.perf_counter()
+    code, out = porcelain(CASES[case])
+    dt = time.perf_counter() - t0
+    assert code == 0
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
+    # the verdict sympy reads off rho: the smallest |n| among its integer roots
+    roots = integer_roots_by_sympy(rho(parse_uea("d(-1)*d(-2)"), ISParams(a, 0, 0)))
+    expected = "NOT_SIMPLE n=%d" % min(roots, key=lambda v: (abs(v), v)) if roots else "SIMPLE"
+    assert out == "verdict\t%s\n" % expected
 
 
 # 9. Degenerate-point discovery: the depth-1 generator is found at depth 2

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -47,6 +48,15 @@ def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "d(-1)*I(-2)")
     assert code == 0
     assert out.strip() == "-2*I(-3) + I(-2)*d(-1)"
+
+
+def test_normalize_huge_power_of_constant(capsys):
+    # one multiplication per unit of the exponent did not finish in 5 s
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "normalize", "1^20000000")
+    dt = time.perf_counter() - t0
+    assert code == 0 and out == "1\n"
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
 
 
 def test_parse_error_exit_code(capsys):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisvir.algebra import Z1, Z2, Z3, d, I, lie_sum
 from heisvir.criteria import (
@@ -20,6 +21,7 @@ from heisvir.criteria import (
 from heisvir.errors import NotNegativePart
 from heisvir.modules import ISParams, WhittakerCharacter, phi_prime
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
+from oracles import integer_roots_by_sympy, integer_roots_by_trial_division
 
 GENERIC = ISParams(a=1, b=2, F=3)
 
@@ -101,6 +103,44 @@ def test_integer_roots_products():
     # n^2 (n - 7)
     p2 = NPoly((0, 0, -7, 1))
     assert integer_roots(p2) == [0, 7]
+
+
+def _product(roots):
+    """The primitive integer polynomial with exactly these rational roots."""
+    p = NPoly.const(1)
+    for r in roots:
+        p = p * NPoly.linear(-r.numerator, r.denominator)
+    return p
+
+
+def root_polys(numerators, perturbations):
+    """Products of 1-6 linear factors with integer and non-integer rational
+    roots, times n^k and a rational scalar, plus a constant perturbation."""
+    fractional = st.builds(Q, numerators, st.integers(2, 4)).filter(lambda r: r.denominator != 1)
+    roots = st.lists(st.one_of(numerators.map(Q), fractional), min_size=1, max_size=6)
+    return st.builds(
+        lambda rs, k, c, scale: (NPoly([0] * k + [1]) * _product(rs) + NPoly.const(c)) * scale,
+        roots,
+        st.integers(0, 2),
+        perturbations,
+        st.sampled_from([Q(1), Q(-1), Q(3), Q(-2, 7)]),
+    )
+
+
+# trailing coefficients stay below 10^7, so trial division up to the square root is cheap
+@settings(max_examples=400, deadline=None)
+@given(root_polys(st.integers(-9, 9), st.one_of(st.just(0), st.integers(-30, 30))))
+def test_integer_roots_match_trial_division(p):
+    assert integer_roots(p) == integer_roots_by_trial_division(p)
+
+
+NEAR_1E15 = st.one_of(st.integers(10**15 - 40, 10**15 + 40), st.integers(-(10**15) - 40, -(10**15) + 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_polys(NEAR_1E15, st.sampled_from([0, 1, -(10**15), 10**30])))
+def test_integer_roots_match_sympy_near_1e15(p):
+    assert integer_roots(p) == integer_roots_by_sympy(p)
 
 
 def test_whittaker_simplicity_z3_nonzero():

@@ -155,6 +155,15 @@ def test_power_of_sum_lowers_quickly():
     assert u == parse_uea("(d(1)+d(-1))^8*(d(1)+d(-1))^8")
 
 
+@pytest.mark.parametrize("base", ["d(1)", "(d(1) + 2*I(-1) - 1/2)", "(I(1)*d(-2) + z3)"])
+def test_power_matches_repeated_product(base):
+    # powers are lowered by squaring; both lowerings must equal the plain product
+    for k in range(8):
+        power, product = parse("%s^%d" % (base, k)), parse("*".join([base] * k) or "1")
+        assert to_words(power) == to_words(product)
+        assert to_uea(power) == to_uea(product)
+
+
 def test_parse_lie():
     assert parse_lie("d(1) + 2/3*I(-2) - z1") == lie_sum((1, d(1)), (Q(2, 3), I(-2)), (-1, ("z", 1)))
     with pytest.raises(ExprError):

@@ -3,7 +3,7 @@
 Each case runs `heisvir ... --porcelain` in-process and compares standard
 output with `tests/golden/<name>.out`.  The cases are the README CLI
 examples, one `act` per module variant with that variant's README key form,
-and two normal forms with a constant term.
+two normal forms with a constant term and two tensor verdicts at large a.
 
 Re-record (only when an output is meant to change):
 
@@ -95,6 +95,9 @@ CASES = {
     # normal forms with a constant term
     "normalize_constant_first": ["normalize", "I(1)*I(-1) + 1/2"],
     "normalize_constant_leading": ["normalize", "2 - d(1)*d(-1)*d(1)"],
+    # tensor verdicts whose rho has a constant term near 10^30
+    "tensor_large_a_half": ["tensor-simple", "--params", "(a=1000000000000001/2,b=0,F=0)", "--gens", "d(-1)*d(-2)"],
+    "tensor_large_a_integral": ["tensor-simple", "--params", "(a=1000000000000001,b=0,F=0)", "--gens", "d(-1)*d(-2)"],
 }
 
 

@@ -274,6 +274,23 @@ def test_embedded_module_axioms():
     assert module_axiom_check(E, 2, keys) == []
 
 
+@pytest.mark.parametrize(
+    "module,key",
+    [
+        (OmegaModule(2, 1, 1), -2),
+        (EmbeddedModule([1, 2], [3, 0], 2), (-1, 0)),
+        (EmbeddedModule([1, 2], [3, 0], 2), (0, -1)),
+    ],
+)
+def test_negative_key_exponents_rejected(module, key):
+    # an omega key acted as an empty map; an embedded key recursed without end
+    for g in (d(1), I(0), Z1):
+        with pytest.raises(ValueError, match="key exponents must be >= 0"):
+            module.act_gen(g, key)
+    with pytest.raises(ValueError, match="key exponents must be >= 0"):
+        module_axiom_check(module, 1, [key])
+
+
 def test_mixed_modules_rejected():
     A = IntermediateSeriesModule(ISP)
     B = IntermediateSeriesModule(ISP)
