@@ -68,18 +68,7 @@ class _Out:
             print(human if human is not None else "%s: %s" % (key, value))
 
     def verdict(self, v: criteria.SimplicityVerdict):
-        if self.porcelain:
-            if v.is_simple:
-                print("verdict\tSIMPLE")
-            elif v.is_not_simple:
-                if v.witness_n is not None:
-                    print("verdict\tNOT_SIMPLE n=%d" % v.witness_n)
-                else:
-                    print("verdict\tNOT_SIMPLE")
-            else:
-                print("verdict\tINCONCLUSIVE %s" % (v.reason or ""))
-        else:
-            print(str(v))
+        self.line("verdict", v.label, human=str(v))
 
 
 def _build_module(variant: str, p: dict):

@@ -254,14 +254,20 @@ class SimplicityVerdict:
     def is_inconclusive(self):
         return self.kind == "inconclusive"
 
-    def __str__(self):
+    @property
+    def label(self) -> str:
+        """The porcelain verdict record: SIMPLE | NOT_SIMPLE [n=<int>] | INCONCLUSIVE <reason>."""
         if self.kind == "simple":
-            return "SIMPLE" + (" (%s)" % self.witness if self.witness else "")
+            return "SIMPLE"
         if self.kind == "not_simple":
-            if self.witness_n is not None:
-                return "NOT_SIMPLE n=%d" % self.witness_n
-            return "NOT_SIMPLE" + (" (%s)" % self.witness if self.witness else "")
+            return "NOT_SIMPLE" + ("" if self.witness_n is None else " n=%d" % self.witness_n)
         return "INCONCLUSIVE %s" % (self.reason or "")
+
+    def __str__(self):
+        """The label, followed by the witness text when the verdict has no witness n."""
+        if self.witness and self.witness_n is None and not self.is_inconclusive:
+            return "%s (%s)" % (self.label, self.witness)
+        return self.label
 
 
 def simple(witness=None) -> SimplicityVerdict:

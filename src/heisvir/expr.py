@@ -12,8 +12,9 @@ Grammar (whitespace insignificant):
 Products denote products in the enveloping algebra: lowering multiplies the
 PBW normal forms of the factors, folded in from the right through one shared
 LeftAction, so a power of a sum never expands into its unstraightened words.
-to_words flattens a tree into unstraightened words; only to_lie, which must
-see the words, uses it.  Rational literals only (no decimals).
+A Lie element admits only products with a constant factor, so to_lie rejects
+a product of two non-constant factors as soon as it meets it.  Rational
+literals only (no decimals).
 """
 
 from __future__ import annotations
@@ -255,33 +256,26 @@ def _lower(e, letter, times) -> dict:
     return out
 
 
-def _word_product(a, b):
-    out = {}
-    for wa, ca in a.items():
-        axpy(out, ca, {wa + wb: cb for wb, cb in b.items()})
-    return out
-
-
-def to_words(e):
-    """Flatten a tree into a map word -> coefficient (words unstraightened)."""
-    return _lower(e, lambda g: (g,), _word_product)
-
-
 def to_uea(e) -> UEAElement:
     """Lower a tree to the enveloping algebra (normal form)."""
     return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), LeftAction().multiply))
 
 
+def _scale(a: dict, b: dict) -> dict:
+    """a * b when one factor is a constant (a map on the unit key alone)."""
+    if b.keys() <= {()}:
+        a, b = b, a
+    if not a.keys() <= {()}:
+        raise ExprError("products of generators are not Lie elements")
+    return axpy({}, a.get((), 0), b)
+
+
 def to_lie(e) -> LieElement:
     """Lower a tree to a Lie element; products of generators are rejected."""
-    words = to_words(e)
-    for w, c in words.items():
-        if len(w) == 0 and c:
-            raise ExprError("constant terms have no Lie meaning")
-        if len(w) > 1:
-            raise ExprError("products of generators are not Lie elements")
-    # distinct one-letter words are distinct generators
-    return LieElement({w[0]: c for w, c in words.items() if w})
+    out = _lower(e, lambda g: g, _scale)
+    if () in out:
+        raise ExprError("constant terms have no Lie meaning")
+    return LieElement(out)
 
 
 def parse_uea(text: str) -> UEAElement:

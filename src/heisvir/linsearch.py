@@ -2,9 +2,9 @@
 
 Every elimination runs through one engine, Echelon: a sparse, fraction-free
 (integer-preserving, after Bareiss, Math. Comp. 22, 1968), incremental
-echelon form over a column order fixed when it is built.  rref, nullspace
-and rank run it over the columns of a MatrixQ and back-substitute in
-integers; every kernel vector is re-checked against the matrix exactly.
+echelon form over a column order fixed when it is built.  nullspace runs it
+over the columns of a sparse MatrixQ and back-substitutes in integers; every
+kernel vector is re-checked against the matrix exactly.
 Dense rational Gauss survives only as the test oracle.  On top sit the
 singular-vector search, the maximal-submodule generator discovery, the
 Whittaker-vector linear system and the brute-force shifted-membership oracle.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .algebra import ONE, Q, I, axpy, bracket, d, lie
+from .algebra import ONE, Q, I, axpy, d
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
 from .modules import (
     HWParams,
@@ -34,7 +34,6 @@ from .pbw import (
     mono_sort_key,
     mono_weight,
     negative_part_basis,
-    word_of,
 )
 
 
@@ -152,57 +151,27 @@ def _eliminate(row: dict, use: dict) -> dict:
 
 
 class MatrixQ:
-    """Sparse rational matrix: row i maps a column to its nonzero entry."""
+    """Sparse rational matrix: row i maps a column in range(ncols) to its nonzero entry."""
 
-    def __init__(self, rows):
-        rows = list(rows)
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        self.rows = [{j: Q(v) for j, v in enumerate(r) if v} for r in rows]
-        self.nrows = len(rows)
-        self.ncols = widths.pop() if widths else 0
-
-    @classmethod
-    def sparse(cls, rows, ncols: int) -> "MatrixQ":
-        """A matrix from maps column -> value, trusted to hold rationals."""
-        M = cls.__new__(cls)
-        M.rows, M.nrows, M.ncols = rows, len(rows), ncols
-        return M
+    def __init__(self, rows, ncols: int):
+        self.rows = list(rows)
+        self.nrows = len(self.rows)
+        self.ncols = ncols
 
 
-def _reduced_rows(M: MatrixQ) -> dict:
-    """Pivot column -> integer row of the reduced echelon form, back-substituted from the last pivot up."""
+def nullspace(M: MatrixQ) -> list:
+    """Canonical kernel basis as maps column -> nonzero value: one vector per
+    free column, in increasing order, with a unit at that column.
+
+    The pivot rows are back-substituted in integers from the last pivot up,
+    and every returned vector is re-checked against M exactly.
+    """
     span = Echelon.over(range(M.ncols))
     for row in M.rows:
         span.insert(row)
-    done = {}
+    reduced = {}
     for p in sorted(span.rows, reverse=True):
-        done[p] = _eliminate(span.rows[p], done)
-    return done
-
-
-def _dense(vec: dict, ncols: int) -> list:
-    out = [Q(0)] * ncols
-    for j, v in vec.items():
-        out[j] = v
-    return out
-
-
-def rref(M: MatrixQ):
-    """Reduced row echelon form: (rows with unit pivots, pivot columns), rows in pivot order."""
-    reduced = _reduced_rows(M)
-    pivots = sorted(reduced)
-    rows = [{j: Q(v, reduced[p][p]) for j, v in reduced[p].items()} for p in pivots]
-    return [_dense(row, M.ncols) for row in rows], pivots
-
-
-def nullspace(M: MatrixQ):
-    """Canonical kernel basis: one vector per free column, unit at that column.
-
-    Every returned vector is re-checked against M exactly.
-    """
-    reduced = _reduced_rows(M)
+        reduced[p] = _eliminate(span.rows[p], reduced)
     kernel = {fc: {fc: ONE} for fc in range(M.ncols) if fc not in reduced}
     for pc, row in reduced.items():
         for fc, v in row.items():
@@ -211,11 +180,7 @@ def nullspace(M: MatrixQ):
     for vec in kernel.values():
         if any(sum(c * vec[j] for j, c in row.items() if j in vec) for row in M.rows):
             raise AssertionError("kernel vector fails M v = 0")
-    return [tuple(_dense(vec, M.ncols)) for vec in kernel.values()]
-
-
-def rank(M: MatrixQ) -> int:
-    return len(_reduced_rows(M))
+    return list(kernel.values())
 
 
 @dataclass
@@ -225,7 +190,6 @@ class SearchResult:
     vectors: list
     status: str  # "complete" | "truncated"
     degree: int | None = None
-    detail: str | None = None
     num_variables: int | None = None
     rank: int | None = None
 
@@ -244,36 +208,8 @@ def weight_basis(degree: int):
 
 
 # these generate the positive part, since [d(1), d(k)] = (k-1) d(k+1) and
-# [d(1), I(k)] = k I(k+1); check_positive_generation verifies it on a window
+# [d(1), I(k)] = k I(k+1); the tests verify it on a window
 POSITIVE_GENERATORS = (d(1), d(2), I(1))
-
-
-def check_positive_generation(window: int) -> bool:
-    """Verify d(1), d(2), I(1) generate every d(k), I(k) for 1 <= k <= window.
-
-    Iterated brackets are accumulated degreewise; elements of positive degree
-    never contain central components, so each graded piece only needs rank 2
-    over the pair (d(k), I(k)).
-    """
-    produced = {1: [lie(d(1)), lie(I(1))], 2: [lie(d(2))]}
-    for k in range(2, window + 1):
-        layer = produced.setdefault(k, [])
-        for a in range(1, k):
-            for x in produced.get(a, []):
-                for y in produced.get(k - a, []):
-                    z = bracket(x, y)
-                    if z:
-                        layer.append(z)
-    for k in range(1, window + 1):
-        # elements of positive degree never contain central components, so
-        # the degree-k piece is spanned by d(k), I(k): rank 2 is required
-        coords = [
-            [x.coeffs.get(("d", k), Q(0)), x.coeffs.get(("I", k), Q(0))]
-            for x in produced.get(k, [])
-        ]
-        if rank(MatrixQ(coords)) < 2:
-            return False
-    return True
 
 
 def _verified_kernel(module, keys, conditions) -> list:
@@ -292,8 +228,8 @@ def _verified_kernel(module, keys, conditions) -> list:
             for target, c in image.items():
                 rows.setdefault((ci, target), {})[j] = c
     vectors = []
-    for vec in nullspace(MatrixQ.sparse(list(rows.values()), len(keys))):
-        mv = ModuleVector(module, {k: c for k, c in zip(keys, vec) if c})
+    for vec in nullspace(MatrixQ(rows.values(), len(keys))):
+        mv = ModuleVector(module, {keys[j]: c for j, c in vec.items()})
         for gen, value in conditions:
             if act(gen, mv) != value * mv:
                 raise AssertionError("kernel vector fails the defining conditions")
@@ -347,7 +283,7 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
         span = Echelon.over(keys)
         for _, p, mv in gens:
             for mono in negative_part_basis(degree - p):
-                span.insert(module.apply_word(word_of(mono), mv.coeffs))
+                span.insert(module.apply(mono, mv.coeffs))
         for mv in found:
             if span.insert(mv.coeffs):
                 gens.append((_uea_of_vector(mv), degree, mv))
@@ -426,7 +362,7 @@ class MembershipTester:
             i = len(self.block_rank)
             start = {(UNIT, self.n + i): ONE}
             for mono in negative_part_basis(i):
-                img = self.module.apply_word(word_of(mono), start)
+                img = self.module.apply(mono, start)
                 # weight -i against y-exponent n+i lands back in the n-slice
                 flat = {}
                 for (m2, y), c in img.items():
@@ -469,7 +405,7 @@ def shifted_membership(
     if buffer < 0:
         raise ValueError("buffer must be >= 0")
     for mono in P.coeffs:
-        for g in word_of(mono):
+        for g, _ in mono:
             kind, idx = g
             if kind == "z" or idx >= 0:
                 raise NotNegativePart("P must be supported on the strictly negative part")

@@ -17,6 +17,7 @@ reads are safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -263,6 +264,20 @@ def _nonnegative(n: int) -> int:
     return n
 
 
+def _memoized(method):
+    """method(self, *args) computed once per instance and kept in its _memo
+    dict under the argument tuple; methods of different arity can share it."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        out = self._memo.get(args)
+        if out is None:
+            out = self._memo[args] = method(self, *args)
+        return out
+
+    return cached
+
+
 def module_axiom_check(module: Module, index_bound: int, window):
     """Check act([x,y], v) = act(x, act(y, v)) - act(y, act(x, v)).
 
@@ -486,26 +501,21 @@ class FockModule(MonomialModule):
         for i in range(-bound, bound + 1):
             pair = (-i, i + k)
             first, second = max(pair), min(pair)
-            axpy(out, coeff, self.apply_word((("I", second), ("I", first)), {key: ONE}))
+            axpy(out, coeff, self.apply(((("I", second), 1), (("I", first), 1)), {key: ONE}))
         lin = (k + 1) * self.z2 / self.z3
         if lin:
             axpy(out, lin, self._heis(k, key))
         return out
 
+    @_memoized
     def act_gen(self, g: Generator, key: Monomial):
-        cached = self._memo.get((g, key))
-        if cached is not None:
-            return cached
         kind, n = g
         if kind == "z":
             c = (self.z1, self.z2, self.z3)[n - 1]
-            out = {key: c} if c else {}
-        elif kind == "I":
-            out = self._heis(n, key)
-        else:
-            out = self.d_action(n, key)
-        self._memo[(g, key)] = out
-        return out
+            return {key: c} if c else {}
+        if kind == "I":
+            return self._heis(n, key)
+        return self.d_action(n, key)
 
     def degree_keys(self, deg):
         return negative_part_basis(deg, restrict=lambda g: g[0] == "I")
@@ -612,15 +622,9 @@ class OmegaModule(Module):
         """Coefficients of (X - m)^i expanded over outer powers X^k."""
         return {k: gen_binom(i, k) * Q(-m) ** (i - k) for k in range(i + 1)}
 
+    @_memoized
     def act_gen(self, g: Generator, key: int):
-        cached = self._memo.get((g, key))
-        if cached is not None:
-            return cached
-        out = self._act_gen(g, _nonnegative(key))
-        self._memo[(g, key)] = out
-        return out
-
-    def _act_gen(self, g: Generator, key: int):
+        _nonnegative(key)
         kind, n = g
         if kind == "z":
             return {}
@@ -641,13 +645,32 @@ class OmegaModule(Module):
         return list(range(size + 1))
 
 
+def _embedded_gen(wm: WMuKappaModule, lam: Q, g: Generator, vec: dict) -> dict:
+    """The shift-embedded action of one generator on a map over wm's keys.
+
+    t^n acts by the binomially expanded shift t -> t + lam, derivations
+    likewise, and the central elements act as zero.  The expansions truncate
+    because high generators kill every vector of the induced module.
+    """
+    kind, n = g
+    if kind == "z":
+        return {}
+    maxdeg = max((mono_degree(k) for k in vec), default=0)
+    # I(n) expands over I(q), 0 <= q <= r + maxdeg; d(n) over d(q - 1), 0 <= q <= 2r + 1 + maxdeg
+    shift, top = (0, wm.r + maxdeg) if kind == "I" else (1, 2 * wm.r + 1 + maxdeg)
+    out = {}
+    for q in range(top + 1):
+        c = gen_binom(n + shift, q) * lam ** (n + shift - q)
+        if c:
+            for key, cv in vec.items():
+                axpy(out, c * cv, wm.act_gen((kind, q - shift), key))
+    return out
+
+
 def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
     """Shift-embedded action of the full algebra on a polynomial-subalgebra module.
 
-    v must live in a WMuKappaModule; t^n acts by the binomially expanded
-    shift t -> t + lam, derivations likewise, and the central elements act
-    as zero.  The expansions truncate because high generators kill every
-    vector of the induced module.
+    v must live in a WMuKappaModule; see _embedded_gen for the expansion.
     """
     lam = Q(lam)
     if lam == 0:
@@ -658,21 +681,8 @@ def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
     if is_generator(x):
         x = lie(x)
     out = {}
-    maxdeg = max((mono_degree(k) for k in v.coeffs), default=0)
     for g, cg in x.items():
-        kind, n = g
-        if kind == "z":
-            continue
-        if kind == "I":
-            for q in range(0, wm.r + maxdeg + 1):
-                c = gen_binom(n, q) * lam ** (n - q)
-                if c:
-                    axpy(out, cg * c, act(("I", q), v).coeffs)
-        else:
-            for q in range(0, 2 * wm.r + 1 + maxdeg + 1):
-                c = gen_binom(n + 1, q) * lam ** (n + 1 - q)
-                if c:
-                    axpy(out, cg * c, act(("d", q - 1), v).coeffs)
+        axpy(out, cg, _embedded_gen(wm, lam, g, v.coeffs))
     return v._new(out)
 
 
@@ -680,10 +690,11 @@ class EmbeddedModule(Module):
     """Shift-embedded (mu, kappa) module for r = 1 on the (i, j) basis.
 
     The key (i, j) is the plain vector (d0 + lam d(-1))^i d0^j v; actions are
-    computed by converting to the plain basis, applying embedded_action and
-    converting back (the change of basis is triangular in the d(-1)-degree,
-    invertible because lam != 0).  Keys print as E^i(d0^j(v)), where E
-    names the operator d0 + lam d(-1); a zero exponent drops its factor.
+    computed by converting to the plain basis, applying the embedded action
+    and converting back (the change of basis is triangular in the
+    d(-1)-degree, invertible because lam != 0).  Keys print as E^i(d0^j(v)),
+    where E names the operator d0 + lam d(-1); a zero exponent drops its
+    factor.
     """
 
     name = "embedded"
@@ -695,59 +706,39 @@ class EmbeddedModule(Module):
         self.inner = WMuKappaModule(1, mu, kappa)
         self.mu = self.inner.mu
         self.kappa = self.inner.kappa
-        self._plain_cache = {}
         self._memo = {}
 
-    def _plain(self, key) -> ModuleVector:
-        """The plain-basis vector behind an (i, j) key."""
-        cached = self._plain_cache.get(key)
-        if cached is not None:
-            return cached
+    @_memoized
+    def _plain(self, key) -> dict:
+        """The plain-basis vector behind an (i, j) key, as a map over the inner module's keys."""
         i, j = key
         if i == 0:
-            vec = self.inner.vector(((d(0), j),) if j else UNIT)
-        else:
-            prev = self._plain((i - 1, j))
-            vec = act(d(0), prev) + self.lam * act(d(-1), prev)
-        self._plain_cache[key] = vec
-        return vec
+            return {((d(0), j),) if j else UNIT: ONE}
+        outer = {((d(0), 1),): ONE, ((d(-1), 1),): self.lam}
+        return self.inner.multiply(outer, self._plain((i - 1, j)))
 
     @staticmethod
     def _split(mono: Monomial):
         """(d(-1)-exponent, d(0)-exponent) of a plain monomial."""
-        s = t = 0
-        for g, e in mono:
-            if g == ("d", -1):
-                s = e
-            elif g == ("d", 0):
-                t = e
-        return s, t
+        exponents = dict(mono)
+        return exponents.get(("d", -1), 0), exponents.get(("d", 0), 0)
 
-    def _from_plain(self, vec: ModuleVector):
+    def _from_plain(self, vec: dict) -> dict:
         """Rewrite a plain vector over the (i, j) keys (triangular solve)."""
         out = {}
-        rest = dict(vec.coeffs)
+        rest = dict(vec)
         while rest:
             mono, c = max(rest.items(), key=lambda item: self._split(item[0]))
             s, t = self._split(mono)
             coeff = c / self.lam**s
             axpy(out, coeff, {(s, t): ONE})
-            axpy(rest, -coeff, self._plain((s, t)).coeffs)
+            axpy(rest, -coeff, self._plain((s, t)))
         return out
 
+    @_memoized
     def act_gen(self, g: Generator, key):
-        cached = self._memo.get((g, key))
-        if cached is not None:
-            return cached
         _nonnegative(min(key))
-        kind, _ = g
-        if kind == "z":
-            out = {}
-        else:
-            image = embedded_action(self.lam, g, self._plain(key))
-            out = self._from_plain(image)
-        self._memo[(g, key)] = out
-        return out
+        return self._from_plain(_embedded_gen(self.inner, self.lam, g, self._plain(key)))
 
     def key_str(self, key):
         i, j = key

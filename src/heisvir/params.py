@@ -110,16 +110,13 @@ def is_params(params: dict) -> ISParams:
 
 def whittaker_character(params: dict) -> WhittakerCharacter:
     m = _get_int(params, "m")
-    d_vals = {}
-    i_vals = {}
+    d_vals, i_vals = {}, {}
+    # the first two key patterns are phi.d<k> and phi.I<k>
     for key, value in params.items():
-        mt = re.match(r"^phi\.d(-?\d+)$", key)
-        if mt:
-            d_vals[int(mt.group(1))] = value
-            continue
-        mt = re.match(r"^phi\.I(-?\d+)$", key)
-        if mt:
-            i_vals[int(mt.group(1))] = value
+        for pattern, vals in zip(_PATTERNS, (d_vals, i_vals)):
+            mt = pattern.match(key)
+            if mt:
+                vals[int(mt.group(1))] = value
     return WhittakerCharacter(
         m,
         d_vals,

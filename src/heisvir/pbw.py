@@ -11,7 +11,8 @@ at a time, g * h^k * rest = h * (g * h^(k-1) * rest) + [g, h] * h^(k-1) * rest,
 which terminates because every step either shortens the product or moves g
 towards its place.  Words are straightened by folding their letters in from
 the right (Action, the fold every module shares), products of normal forms
-likewise, and an induced module is the same kernel with the generators of a
+likewise, with a power g^e taken in one step where it prepends to every
+monomial; an induced module is the same kernel with the generators of a
 subalgebra absorbed on the cyclic vector by a character; U acting on itself
 is the module induced from the zero subalgebra.
 """
@@ -73,7 +74,12 @@ def mono_str(mono: Monomial) -> str:
 
 
 def mono_sort_key(mono: Monomial):
-    return tuple(gen_order_key(g) for g in word_of(mono))
+    """Key of the PBW order: expanded words compared letter by letter, a word
+    before its extensions.  Past a common prefix, the run g^e that ends a word
+    sorts before any other run of g, and of two runs of g followed by larger
+    generators the longer one sorts first, so no run is expanded."""
+    last = len(mono) - 1
+    return tuple((gen_order_key(g), i < last, -e if i < last else e) for i, (g, e) in enumerate(mono))
 
 
 class UEAElement(SparseVector):
@@ -94,28 +100,38 @@ def uea(g: Generator) -> UEAElement:
 
 
 class Action:
-    """Generators acting on basis keys; words and normal forms act by a fold.
+    """Generators acting on basis keys; monomials act by a fold.
 
     Subclasses define act_gen(g, key), the image of one key as a map key ->
-    coefficient, which callers must not mutate.  apply_word and multiply fold
-    letters in from the right over plain maps: the one word fold of the
-    package, shared by the straightening kernel and every module.
+    coefficient, which callers must not mutate.  apply and multiply fold the
+    (generator, exponent) pairs of a monomial in from the right over plain
+    maps: the one fold of the package, shared by the straightening kernel
+    and every module.
     """
 
-    def apply_word(self, word, vec: dict) -> dict:
-        """word * vec for a map key -> coefficient, letters folded in from the right."""
-        for g in reversed(word):
+    def act_power(self, g: Generator, e: int, vec: dict) -> dict:
+        """g^e * vec, one factor g at a time, stopping once the vector is zero."""
+        for _ in range(e):
+            if not vec:
+                break
             out = {}
             for key, c in vec.items():
                 axpy(out, c, self.act_gen(g, key))
             vec = out
         return vec
 
+    def apply(self, mono, vec: dict) -> dict:
+        """mono * vec for a tuple mono of (generator, exponent) pairs, in any
+        order, and a map key -> coefficient vec."""
+        for g, e in reversed(mono):
+            vec = self.act_power(g, e, vec)
+        return vec
+
     def multiply(self, u: dict, v: dict) -> dict:
-        """u * v for a map normal monomial -> coefficient u and a map key -> coefficient v."""
+        """u * v for a map monomial -> coefficient u and a map key -> coefficient v."""
         out = {}
         for mono, c in u.items():
-            axpy(out, c, self.apply_word(word_of(mono), v))
+            axpy(out, c, self.apply(mono, v))
         return out
 
 
@@ -136,17 +152,34 @@ class LeftAction(Action):
     def in_subalgebra(self, g: Generator) -> bool:
         return False
 
+    def _in_place(self, g: Generator, e: int, mono: Monomial):
+        """g^e * mono as one monomial when g is not absorbed and sorts at or
+        before the head of mono, else None."""
+        if self.in_subalgebra(g) or (mono and gen_order_key(g) > gen_order_key(mono[0][0])):
+            return None
+        if mono and mono[0][0] == g:
+            return ((g, mono[0][1] + e),) + mono[1:]
+        return ((g, e),) + mono
+
+    def act_power(self, g: Generator, e: int, vec: dict) -> dict:
+        # one step, whatever e, when g^e prepends to every key
+        out = {}
+        for mono, c in vec.items():
+            placed = self._in_place(g, e, mono)
+            if placed is None:
+                return super().act_power(g, e, vec)
+            out[placed] = c
+        return out
+
     def act_gen(self, g: Generator, mono: Monomial):
         memo = self._memo
         out = memo.get((g, mono))
         if out is not None:
             return out
-        absorbed = self.in_subalgebra(g)
-        if not absorbed and (not mono or gen_order_key(g) <= gen_order_key(mono[0][0])):
+        placed = self._in_place(g, 1, mono)
+        if placed is not None:
             # g is already in place: too cheap to be worth a memo entry
-            if mono and mono[0][0] == g:
-                return {((g, mono[0][1] + 1),) + mono[1:]: ONE}
-            return {((g, 1),) + mono: ONE}
+            return {placed: ONE}
         if not mono:
             c = self.char(g)
             return {UNIT: c} if c else {}
@@ -173,11 +206,8 @@ class LeftAction(Action):
 
 def straighten(words: dict) -> UEAElement:
     """Normal form of a combination of words (a map word -> coefficient)."""
-    action = LeftAction()
-    out = {}
-    for word, c in words.items():
-        axpy(out, c, action.apply_word(word, {UNIT: ONE}))
-    return UEAElement._trusted(out)
+    pairs = {tuple((g, 1) for g in word): c for word, c in words.items()}
+    return UEAElement._trusted(LeftAction().multiply(pairs, {UNIT: ONE}))
 
 
 def normal_form(word) -> UEAElement:

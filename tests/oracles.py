@@ -15,13 +15,22 @@
   package brackets real roots by bisection instead.
 - integer_roots_by_sympy: the integer roots among the rational roots that
   sympy finds by factoring over the integers; sympy serves the tests only.
+- mono_sort_key_by_letters: the original PBW order key of a monomial, the
+  tuple of the order keys of its expanded word; the package reads the same
+  order off the runs.
+- to_words and to_lie_by_words: the original word expansion of an expression
+  tree, which multiplies out every product and power into unstraightened
+  words (exponential in the size of the tree), and the Lie lowering that
+  reads those words; the package lowers through normal forms instead, and
+  rejects a product of two non-constant factors without expanding it.
 """
 
 import math
 
-from heisvir.algebra import Q, axpy, bracket_gens, gen_order_key
+from heisvir.algebra import LieElement, Q, axpy, bracket_gens, gen_order_key
 from heisvir.criteria import ALL_INTEGERS
-from heisvir.errors import LambdaZero
+from heisvir.errors import ExprError, LambdaZero
+from heisvir.expr import Gen, Num, Pow, Sum
 from heisvir.modules import act, gen_binom
 from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
 
@@ -195,3 +204,39 @@ def integer_roots_by_sympy(p):
     n = sympy.Symbol("n")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], n)
     return sorted(int(r) for r in poly.ground_roots() if r.is_integer)
+
+
+def to_words(e):
+    """Expand an expression tree into a map word -> coefficient, words unstraightened."""
+    if isinstance(e, Num):
+        return {(): e.value} if e.value else {}
+    if isinstance(e, Gen):
+        return {(e.g,): Q(1)}
+    if isinstance(e, Sum):
+        out = {}
+        for sign, term in e.terms:
+            axpy(out, Q(sign), to_words(term))
+        return out
+    out = {(): Q(1)}
+    for f in [e.base] * e.exp if isinstance(e, Pow) else e.factors:
+        right = to_words(f)
+        product = {}
+        for wa, ca in out.items():
+            axpy(product, ca, {wa + wb: cb for wb, cb in right.items()})
+        out = product
+    return out
+
+
+def to_lie_by_words(e) -> LieElement:
+    """A Lie element from the word expansion: every word must be one letter."""
+    words = to_words(e)
+    for w in words:
+        if len(w) == 0:
+            raise ExprError("constant terms have no Lie meaning")
+        if len(w) > 1:
+            raise ExprError("products of generators are not Lie elements")
+    return LieElement({w[0]: c for w, c in words.items()})
+
+
+def mono_sort_key_by_letters(mono):
+    return tuple(gen_order_key(g) for g in word_of(mono))

@@ -301,6 +301,30 @@ def test_gate_tensor_simple_large_a(case, a):
     assert out == "verdict\t%s\n" % expected
 
 
+# Gates: a power of one generator costs one fold step where it prepends to
+# every key, and stops once the vector is zero; one step per unit of the
+# exponent took 1.75 s at d(1)^400000 and did not finish in 10 s at 20000000.
+# At the largest exponent literal, even empty steps would take minutes.
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["normalize", "d(1)^20000000"], "result\td(1)^20000000\n"),
+        (["act", "--module", "verma", "--params", "(I0dot=3,d0dot=5/2,z2dot=1/2)", "d(1)^20000000", "1"],
+         "result\t0\n"),
+        (["act", "--module", "verma", "--params", "(I0dot=3,d0dot=5/2,z2dot=1/2)", "d(1)^2147483647", "1"],
+         "result\t0\n"),
+    ],
+)
+def test_gate_huge_power_of_one_generator(argv, expected):
+    t0 = time.perf_counter()
+    code, out = porcelain(argv)
+    dt = time.perf_counter() - t0
+    assert (code, out) == (0, expected)
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
+
+
 # 9. Degenerate-point discovery: the depth-1 generator is found at depth 2
 #    and the verdict matches b - a - I0 F / z3 not integral
 

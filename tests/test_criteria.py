@@ -10,9 +10,12 @@ from heisvir.criteria import (
     ALL_INTEGERS,
     NPoly,
     annihilator_cover,
+    inconclusive,
     integer_roots,
+    not_simple,
     rho,
     rho_word,
+    simple,
     tensor_simplicity,
     w_mu_kappa_simple,
     whittaker_expressions,
@@ -201,6 +204,23 @@ def test_tensor_simplicity_pair_generators():
     isp = ISParams(1, 0, 0)  # roots: n = -2 for g1, n = -3 for g2
     assert tensor_simplicity([g1, g2], isp).is_simple
     assert tensor_simplicity([g1, g1], isp).is_not_simple
+
+
+@pytest.mark.parametrize(
+    "verdict, text, label",
+    [
+        (simple(), "SIMPLE", "SIMPLE"),
+        (simple("no common integer rho root"), "SIMPLE (no common integer rho root)", "SIMPLE"),
+        (not_simple("common rho root", n=-2), "NOT_SIMPLE n=-2", "NOT_SIMPLE n=-2"),
+        (not_simple("both obstruction expressions vanish"), "NOT_SIMPLE (both obstruction expressions vanish)", "NOT_SIMPLE"),
+        (inconclusive("generator search truncated at degree 3"), "INCONCLUSIVE generator search truncated at degree 3",
+         "INCONCLUSIVE generator search truncated at degree 3"),
+    ],
+)
+def test_verdict_text_and_label(verdict, text, label):
+    # str() is the human CLI line, label the porcelain verdict record
+    assert str(verdict) == text
+    assert verdict.label == label
 
 
 def test_tensor_simplicity_needs_generators():

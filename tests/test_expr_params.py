@@ -18,8 +18,8 @@ from heisvir.expr import (
     parse_lie,
     parse_uea,
     print_expr,
+    to_lie,
     to_uea,
-    to_words,
 )
 from heisvir.params import (
     hw_params,
@@ -30,6 +30,7 @@ from heisvir.params import (
     whittaker_character,
 )
 from heisvir.pbw import normal_form, straighten
+from oracles import to_lie_by_words, to_words
 
 
 def test_parse_sum_of_products():
@@ -162,6 +163,37 @@ def test_power_matches_repeated_product(base):
         power, product = parse("%s^%d" % (base, k)), parse("*".join([base] * k) or "1")
         assert to_words(power) == to_words(product)
         assert to_uea(power) == to_uea(product)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_to_lie_matches_word_oracle(tree):
+    # to_lie may reject a product that the words would cancel, never the reverse
+    try:
+        expected = to_lie_by_words(tree)
+    except ExprError:
+        with pytest.raises(ExprError):
+            to_lie(tree)
+        return
+    try:
+        got = to_lie(tree)
+    except ExprError:
+        return
+    assert got == expected
+
+
+def test_lie_power_of_sum_rejected_quickly():
+    # the word expansion of this power has 2^40 words
+    t0 = time.perf_counter()
+    with pytest.raises(ExprError):
+        parse_lie("(d(1)+d(2))^40")
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("text", ["d(1)^2 - d(1)^2", "0*d(1)*d(2)", "1 + d(1)*d(2)"])
+def test_lie_rejects_products_that_cancel(text):
+    with pytest.raises(ExprError, match="products of generators"):
+        parse_lie(text)
 
 
 def test_parse_lie():

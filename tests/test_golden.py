@@ -1,7 +1,8 @@
-"""Golden porcelain corpus: CLI output that refactors must leave byte-identical.
+"""Golden corpus: CLI output that refactors must leave byte-identical.
 
 Each case runs `heisvir ... --porcelain` in-process and compares standard
-output with `tests/golden/<name>.out`.  The cases are the README CLI
+output with `tests/golden/<name>.out`, and runs it again without
+`--porcelain` and compares with `tests/golden/<name>.human`.  The cases are the README CLI
 examples, one `act` per module variant with that variant's README key form,
 two normal forms with a constant term and two tensor verdicts at large a.
 
@@ -101,26 +102,42 @@ CASES = {
 }
 
 
-def porcelain(argv):
+def run(argv, porcelain_mode=True):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--porcelain"])
+        code = main(argv + (["--porcelain"] if porcelain_mode else []))
     return code, buf.getvalue()
+
+
+def porcelain(argv):
+    return run(argv)
+
+
+def _golden(name, suffix):
+    with open(os.path.join(GOLDEN, name + suffix), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_porcelain(name):
     code, out = porcelain(CASES[name])
     assert code == 0
-    with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8") as fh:
-        assert out == fh.read()
+    assert out == _golden(name, ".out")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_human(name):
+    code, out = run(CASES[name], porcelain_mode=False)
+    assert code == 0
+    assert out == _golden(name, ".human")
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        code, out = porcelain(argv)
-        if code != 0:
-            raise SystemExit("%s exited %d" % (name, code))
-        with open(os.path.join(GOLDEN, name + ".out"), "w", encoding="utf-8") as fh:
-            fh.write(out)
+        for porcelain_mode, suffix in ((True, ".out"), (False, ".human")):
+            code, out = run(argv, porcelain_mode)
+            if code != 0:
+                raise SystemExit("%s exited %d" % (name, code))
+            with open(os.path.join(GOLDEN, name + suffix), "w", encoding="utf-8") as fh:
+                fh.write(out)

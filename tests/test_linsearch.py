@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisvir.algebra import d, I
+from heisvir.algebra import bracket, d, I, lie
 from heisvir.criteria import rho
 from heisvir.errors import NotNegativePart, PreconditionZ3
 from heisvir.linsearch import (
@@ -13,11 +13,9 @@ from heisvir.linsearch import (
     Echelon,
     MatrixQ,
     MembershipTester,
-    check_positive_generation,
+    POSITIVE_GENERATORS,
     maximal_submodule_gens,
     nullspace,
-    rank,
-    rref,
     shifted_membership,
     singular_vectors,
     weight_basis,
@@ -33,14 +31,18 @@ from heisvir.pbw import UEAElement, UNIT, negative_part_basis, uea
 from oracles import rref_dense
 
 
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def test_nullspace_examples():
-    ident = MatrixQ([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ident = MatrixQ(_sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3)
     assert nullspace(ident) == []
-    zero = MatrixQ([[0, 0, 0], [0, 0, 0]])
-    assert len(nullspace(zero)) == 3
-    M = MatrixQ([[1, 2], [2, 4]])
+    zero = MatrixQ(_sparse([[0, 0, 0], [0, 0, 0]]), 3)
+    assert nullspace(zero) == [{0: 1}, {1: 1}, {2: 1}]
+    M = MatrixQ(_sparse([[1, 2], [2, 4]]), 2)
     (v,) = nullspace(M)
-    assert v[0] * 1 + v[1] * 2 == 0 and any(v)
+    assert v == {0: -2, 1: 1}
 
 
 def _entries():
@@ -72,14 +74,15 @@ def sparse_matrices(draw):
 
 
 def _dense_kernel(rows, nc):
+    """The canonical kernel basis read off the dense oracle's reduced echelon form, as sparse maps."""
     ech, pivots = rref_dense(rows, nc)
     basis = []
     for fc in (c for c in range(nc) if c not in pivots):
-        vec = [Q(0)] * nc
-        vec[fc] = Q(1)
+        vec = {fc: Q(1)}
         for i, pc in enumerate(pivots):
-            vec[pc] = -ech[i][fc]
-        basis.append(tuple(vec))
+            if ech[i][fc]:
+                vec[pc] = -ech[i][fc]
+        basis.append(vec)
     return basis
 
 
@@ -87,11 +90,9 @@ def _dense_kernel(rows, nc):
 @given(sparse_matrices())
 def test_rref_and_nullspace_match_dense_oracle(matrix):
     rows, nc = matrix
-    M = MatrixQ(rows)
-    assert rref(M) == rref_dense(rows, nc)
-    kernel = nullspace(M)
+    kernel = nullspace(MatrixQ(_sparse(rows), nc))
     assert kernel == _dense_kernel(rows, nc)
-    assert rank(M) + len(kernel) == nc
+    assert len(rref_dense(rows, nc)[1]) + len(kernel) == nc
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,8 +134,8 @@ def test_rank_nullity():
     rng = random.Random(37)
     for _ in range(20):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        M = MatrixQ([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
-        assert rank(M) + len(nullspace(M)) == nc
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        assert len(rref_dense(rows, nc)[1]) + len(nullspace(MatrixQ(_sparse(rows), nc))) == nc
 
 
 def test_weight_basis():
@@ -144,7 +145,26 @@ def test_weight_basis():
 
 
 def test_positive_generation():
-    assert check_positive_generation(8)
+    # iterated brackets of d(1), d(2), I(1), accumulated degreewise, span
+    # every d(k), I(k) with 1 <= k <= 8
+    window = 8
+    produced = {k: [] for k in range(1, window + 1)}
+    for g in POSITIVE_GENERATORS:
+        produced[g[1]].append(lie(g))
+    for k in range(2, window + 1):
+        for a in range(1, k):
+            for x in produced[a]:
+                for y in produced[k - a]:
+                    z = bracket(x, y)
+                    if z:
+                        produced[k].append(z)
+    span = Echelon(lambda g: g)
+    for layer in produced.values():
+        for x in layer:
+            span.insert(x.coeffs)
+    for k in range(1, window + 1):
+        for g in (d(k), I(k)):
+            assert not span.reduce({g: 1})
 
 
 BILLIG_P1 = HWParams(i0=0, d0=Q(7, 3), z2=1, z3=0)

@@ -5,20 +5,24 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heisvir.algebra import Z1, Z3, basis_window, d, I, lie
+from heisvir.algebra import Z1, Z3, basis_window, d, gen_order_key, I, lie
 from heisvir.expr import parse_uea
 from heisvir.modules import HWParams, VermaModule, act, act_uea
 from heisvir.pbw import (
     UEAElement,
     UNIT,
     grade,
+    mono_of_sorted_word,
+    mono_sort_key,
     mono_str,
     multiply,
     negative_part_basis,
     normal_form,
     uea,
 )
-from oracles import rewrite_normal_form
+from hypothesis import given, settings, strategies as st
+
+from oracles import act_uea_by_letters, mono_sort_key_by_letters, rewrite_normal_form
 
 
 def partitions_count(n, cache={0: 1}):
@@ -110,6 +114,29 @@ def test_long_power_closed_form():
         )
         assert normal_form((d(1),) + (d(-1),) * n) == expected
     assert rewrite_normal_form((d(1),) + (d(-1),) * 4) == normal_form((d(1),) + (d(-1),) * 4)
+
+
+@pytest.mark.parametrize("g", [I(-2), d(-1), d(0), d(1), Z1])
+def test_power_of_generator_matches_oracles(g):
+    # g^e is taken in one step where it prepends to every key, and one factor
+    # at a time otherwise; both must equal the rewriter and the letter-by-letter action
+    words = [(), (d(-1),), (I(-1), d(-2)), (d(-1), d(-1), I(-1)), (d(1), I(-1))]
+    V = VermaModule(HWParams(i0=Q(2, 3), d0=Q(5, 7), z1=Q(1, 2), z2=Q(3), z3=Q(-1, 4)))
+    for e in range(6):
+        power = UEAElement({((g, e),) if e else UNIT: Q(1)})
+        for word in words:
+            assert multiply(power, normal_form(word)) == rewrite_normal_form((g,) * e + word), (e, word)
+            v = act_uea(normal_form(word), V.cyclic())
+            assert act_uea(power, v) == act_uea_by_letters(power, v), (e, word)
+
+
+_letters = st.lists(st.sampled_from([Z1, Z3, I(-2), I(-1), I(1), d(-1), d(0), d(2)]), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_letters.map(lambda w: mono_of_sorted_word(tuple(sorted(w, key=gen_order_key)))), min_size=2, max_size=8))
+def test_mono_sort_key_matches_letter_oracle(monos):
+    assert sorted(monos, key=mono_sort_key) == sorted(monos, key=mono_sort_key_by_letters)
 
 
 def test_normal_form_module_oracle():
