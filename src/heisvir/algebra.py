@@ -267,13 +267,11 @@ def ad_weight(x):
     return None
 
 
-def basis_window(bound: int, include_central: bool = True):
-    """All basis generators with |index| <= bound (plus the centrals)."""
+def basis_window(bound: int):
+    """All basis generators with |index| <= bound, then the centrals."""
     gens = [d(n) for n in range(-bound, bound + 1)]
     gens += [I(n) for n in range(-bound, bound + 1)]
-    if include_central:
-        gens += [Z1, Z2, Z3]
-    return gens
+    return gens + [Z1, Z2, Z3]
 
 
 def jacobi_check(index_bound: int):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .algebra import Q, basis_window, gen_weight
 from .errors import NotNegativePart
 from .linsearch import Echelon
-from .modules import ISParams, WhittakerCharacter, WMuKappaModule
-from .pbw import UEAElement, word_of
+from .modules import ISParams, WhittakerCharacter, check_mu_kappa
+from .pbw import UEAElement, in_negative_part, word_of
 
 
 class NPoly:
@@ -196,20 +196,15 @@ def integer_roots(p: NPoly):
     return sorted(roots)
 
 
-def _check_negative_word(word):
-    for g in word:
-        kind, n = g
-        if kind == "z" or n >= 0:
-            raise NotNegativePart("%r is not in the strictly negative part" % (g,))
-
-
 def rho_word(word, params: ISParams) -> NPoly:
     """The defining recursion on a raw word of negative generators.
 
     Peeling d(-i) off the left with a suffix of degree k contributes the
     factor -(a + k + i + n - i b); peeling I(-i) contributes -F.
     """
-    _check_negative_word(word)
+    for g in word:
+        if not in_negative_part(g):
+            raise NotNegativePart("%r is not in the strictly negative part" % (g,))
     poly = NPoly.const(1)
     suffix_weight = [0] * (len(word) + 1)
     for idx in range(len(word) - 1, -1, -1):
@@ -375,9 +370,8 @@ def w_mu_kappa_simple(r, mu, kappa) -> SimplicityVerdict:
     mu is indexed r..2r, kappa indexed 0..r; simple iff
     (mu_{2r}, mu_{2r-1}, kappa_r) is not identically zero.
     """
-    module = WMuKappaModule(r, mu, kappa)  # validates r, mu and kappa
-    r = module.r
-    triple = (module.mu[r], module.mu[r - 1], module.kappa[r])
+    r, mu, kappa = check_mu_kappa(r, mu, kappa)
+    triple = (mu[r], mu[r - 1], kappa[r])
     if any(triple):
         return simple("(mu_2r, mu_2r-1, kappa_r) = (%s, %s, %s)" % triple)
     return not_simple("(mu_2r, mu_2r-1, kappa_r) = (0, 0, 0)")

@@ -12,9 +12,10 @@ Grammar (whitespace insignificant):
 Products denote products in the enveloping algebra: lowering multiplies the
 PBW normal forms of the factors, folded in from the right through one shared
 LeftAction, so a power of a sum never expands into its unstraightened words.
-A Lie element admits only products with a constant factor, so to_lie rejects
-a product of two non-constant factors as soon as it meets it.  Rational
-literals only (no decimals).
+A Lie element is linear in the generators, so to_lie rejects, from the tree
+alone and before lowering, a product with two factors that contain a
+generator and a power >= 2 of a base that contains one.  Rational literals
+only (no decimals).
 """
 
 from __future__ import annotations
@@ -261,17 +262,35 @@ def to_uea(e) -> UEAElement:
     return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), LeftAction().multiply))
 
 
+def _has_generator(e) -> bool:
+    """Whether the tree holds a generator outside a power ^0.  Raises
+    ExprError on a product with two factors that hold one, or a power >= 2
+    of a base that holds one, whatever they lower to."""
+    if isinstance(e, Gen):
+        return True
+    if isinstance(e, Sum):
+        return any([_has_generator(term) for _, term in e.terms])
+    if isinstance(e, Pow):
+        count = _has_generator(e.base) * e.exp
+    elif isinstance(e, Prod):
+        count = sum(_has_generator(f) for f in e.factors)
+    else:
+        return False
+    if count >= 2:
+        raise ExprError("products of generators are not Lie elements")
+    return count == 1
+
+
 def _scale(a: dict, b: dict) -> dict:
     """a * b when one factor is a constant (a map on the unit key alone)."""
     if b.keys() <= {()}:
         a, b = b, a
-    if not a.keys() <= {()}:
-        raise ExprError("products of generators are not Lie elements")
     return axpy({}, a.get((), 0), b)
 
 
 def to_lie(e) -> LieElement:
     """Lower a tree to a Lie element; products of generators are rejected."""
+    _has_generator(e)
     out = _lower(e, lambda g: g, _scale)
     if () in out:
         raise ExprError("constant terms have no Lie meaning")

@@ -31,6 +31,7 @@ from .modules import (
 from .pbw import (
     UEAElement,
     UNIT,
+    in_negative_part,
     mono_sort_key,
     mono_weight,
     negative_part_basis,
@@ -185,17 +186,12 @@ def nullspace(M: MatrixQ) -> list:
 
 @dataclass
 class SearchResult:
-    """Vectors found by a bounded search, with an honesty flag."""
+    """Vectors found by a search; the Whittaker search also reports the size
+    of its linear system."""
 
     vectors: list
-    status: str  # "complete" | "truncated"
-    degree: int | None = None
     num_variables: int | None = None
     rank: int | None = None
-
-    @property
-    def complete(self):
-        return self.status == "complete"
 
 
 def weight_basis(degree: int):
@@ -249,8 +245,7 @@ def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    vectors = _verified_kernel(VermaModule(hw), weight_basis(degree), _ANNIHILATED)
-    return SearchResult(vectors, "complete", degree=degree)
+    return SearchResult(_verified_kernel(VermaModule(hw), weight_basis(degree), _ANNIHILATED))
 
 
 def _uea_of_vector(mv: ModuleVector) -> UEAElement:
@@ -329,7 +324,7 @@ def whittaker_vector_search(char: WhittakerCharacter) -> SearchResult:
     ansatz.append(((I(-1), 2),))
     gens = [d(m + i) for i in range(0, m + 1)] + [I(1 + i) for i in range(0, m + 1)]
     vectors = _verified_kernel(WhittakerModule(char), ansatz, [(g, char.value(g)) for g in gens])
-    return SearchResult(vectors, "complete", num_variables=len(ansatz), rank=len(ansatz) - len(vectors))
+    return SearchResult(vectors, num_variables=len(ansatz), rank=len(ansatz) - len(vectors))
 
 
 GENERIC_HW = HWParams(i0=Q(2, 3), d0=Q(5, 7), z1=Q(1), z2=Q(1, 3), z3=Q(2))
@@ -404,9 +399,6 @@ def shifted_membership(
     """
     if buffer < 0:
         raise ValueError("buffer must be >= 0")
-    for mono in P.coeffs:
-        for g, _ in mono:
-            kind, idx = g
-            if kind == "z" or idx >= 0:
-                raise NotNegativePart("P must be supported on the strictly negative part")
+    if not all(in_negative_part(g) for mono in P.coeffs for g, _ in mono):
+        raise NotNegativePart("P must be supported on the strictly negative part")
     return MembershipTester(isp, n, hw).contains(P, buffer)

@@ -1,10 +1,12 @@
 """The module zoo: induced modules and closed-form actions.
 
-The Verma, Whittaker and polynomial-subalgebra (w_mu_kappa) modules are
-induced modules: each is the straightening kernel pbw.LeftAction with its own
-subalgebra and character, so they share one algorithm with the PBW normal
-form.  The remaining variants (intermediate series, Fock oscillator, shifted
-tensor, the two shift-embedded families) act through explicit formulas.
+The Verma and Whittaker modules are induced modules: each is the
+straightening kernel pbw.LeftAction with its own subalgebra and character,
+so they share one algorithm with the PBW normal form.  The (mu, kappa)
+module is the Whittaker module on the polynomial subalgebra, and the shifted
+tensor acts through a Verma module and the intermediate series.  The rest
+(intermediate series, Fock oscillator, the two shift-embedded families) act
+through explicit formulas.
 Vectors of every variant are ModuleVectors, the sparse-vector core of
 algebra.SparseVector tied to their module.  Each variant owns its basis
 keys: act_gen acts on them, key_str names them, parse_key reads the vector a
@@ -33,6 +35,7 @@ from .algebra import (
     d,
     gen_order_key,
     gen_str,
+    gen_weight,
     is_generator,
     lie,
 )
@@ -131,20 +134,9 @@ class WhittakerCharacter:
         return self.d_val(n)
 
 
-@dataclass(frozen=True)
-class VirWhittakerCharacter:
-    """The derived Witt-side character (values on d(m)..d(2m) and z1)."""
-
-    m: int
-    d_vals: dict
-    z1: Q
-
-    # the same rule on the window m..2m as the full character
-    d_val = WhittakerCharacter.d_val
-
-
-def phi_prime(char: WhittakerCharacter) -> VirWhittakerCharacter:
-    """Derived character: the Witt-side data split off from a Whittaker character.
+def phi_prime(char: WhittakerCharacter) -> WhittakerCharacter:
+    """Derived character: the Witt-side data split off from a Whittaker
+    character, an order-m character with values on d(m)..d(2m) and z1 only.
 
     Requires a nonzero z3 value.
     """
@@ -158,7 +150,20 @@ def phi_prime(char: WhittakerCharacter) -> VirWhittakerCharacter:
         d_vals[k] = char.d_val(k) + (conv - 2 * (m + 1) * char.i_val(m) * char.z2) / (
             2 * char.z3
         )
-    return VirWhittakerCharacter(m, d_vals, z1p)
+    return WhittakerCharacter(m, d_vals, z1=z1p)
+
+
+def check_mu_kappa(r, mu, kappa):
+    """(r, mu, kappa) with r >= 1, mu indexed r..2r and kappa indexed 0..r,
+    the entries read as rationals; raises ValueError otherwise."""
+    r = int(r)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    mu = [Q(v) for v in mu]
+    kappa = [Q(v) for v in kappa]
+    if len(mu) != r + 1 or len(kappa) != r + 1:
+        raise ValueError("mu has entries r..2r and kappa has entries 0..r")
+    return r, mu, kappa
 
 
 def gen_binom(n: int, k: int) -> Q:
@@ -395,27 +400,20 @@ class WhittakerModule(InducedModule):
         return _sorted_words([("I", -1)] + [("d", j) for j in range(self.character.m)], deg)
 
 
-class WMuKappaModule(InducedModule):
-    """Module over the polynomial subalgebra induced from the (mu, kappa) character.
+class WMuKappaModule(WhittakerModule):
+    """The order-r Whittaker module on the polynomial subalgebra.
 
-    mu is indexed r..2r, kappa is indexed 0..r; only generators of the
-    polynomial subalgebra (d(n) with n >= -1 and I(n) with n >= 0) act.
+    Its character is mu (indexed r..2r) on d(r)..d(2r) and kappa (indexed
+    0..r) on I(0)..I(r); only generators of the polynomial subalgebra (d(n)
+    with n >= -1 and I(n) with n >= 0) act.
     """
 
     name = "w_mu_kappa"
 
     def __init__(self, r, mu, kappa):
-        super().__init__()
-        r = int(r)
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        mu = [Q(v) for v in mu]
-        kappa = [Q(v) for v in kappa]
-        if len(mu) != r + 1 or len(kappa) != r + 1:
-            raise ValueError("mu has entries r..2r and kappa has entries 0..r")
-        self.r = r
-        self.mu = mu
-        self.kappa = kappa
+        self.r, self.mu, self.kappa = check_mu_kappa(r, mu, kappa)
+        char = WhittakerCharacter(self.r, dict(enumerate(self.mu, self.r)), dict(enumerate(self.kappa)))
+        super().__init__(char)
 
     def supports(self, g: Generator) -> bool:
         kind, n = g
@@ -424,22 +422,9 @@ class WMuKappaModule(InducedModule):
         return n >= -1 if kind == "d" else n >= 0
 
     def in_subalgebra(self, g: Generator) -> bool:
-        kind, n = g
-        if kind == "I":
-            if n < 0:
-                raise UnsupportedGenerator("I(%d) is outside the polynomial subalgebra" % n)
-            return True
-        if kind == "d":
-            if n < -1:
-                raise UnsupportedGenerator("d(%d) is outside the polynomial subalgebra" % n)
-            return n >= self.r
-        raise UnsupportedGenerator("central elements are outside the polynomial subalgebra")
-
-    def char(self, g: Generator) -> Q:
-        kind, n = g
-        if kind == "I":
-            return self.kappa[n] if n <= self.r else Q(0)
-        return self.mu[n - self.r] if n <= 2 * self.r else Q(0)
+        if not self.supports(g):
+            raise UnsupportedGenerator("%s is outside the polynomial subalgebra" % gen_str(g))
+        return super().in_subalgebra(g)
 
     def key_str(self, key):
         return "v" if key == UNIT else mono_str(key) + "*v"
@@ -556,30 +541,22 @@ class IntermediateSeriesModule(Module):
 class ShiftedTensorModule(Module):
     """Tensor of a Verma module with the intermediate series, shifted basis.
 
-    Keys are (monomial, i) for u w (x) y^i; the y-exponent absorbs the
-    module weight so that weight-n generators shift i by exactly n.
+    Keys are (monomial, i) for u w (x) x^(i - k), k the weight of u, so that
+    weight-n generators shift i by exactly n; they act by the tensor rule.
     """
 
     name = "shifted"
 
     def __init__(self, hw: HWParams, isp: ISParams):
-        self.hw = hw
-        self.isp = isp
         self.inner = VermaModule(hw)
+        self.series = IntermediateSeriesModule(isp)
 
     def act_gen(self, g: Generator, key):
         mono, i = key
-        kind, n = g
-        if kind == "z":
-            c = (self.hw.z1, self.hw.z2, self.hw.z3)[n - 1]
-            return {key: c} if c else {}
+        n = gen_weight(g)
         k = mono_weight(mono)
-        if kind == "d":
-            extra = -k + self.isp.a + i + n * self.isp.b
-        else:
-            extra = self.isp.F
-        inner = axpy(dict(self.inner.act_gen(g, mono)), extra, {mono: ONE})
-        return {(m2, i + n): c for m2, c in inner.items()}
+        out = {(m2, i + n): c for m2, c in self.inner.act_gen(g, mono).items()}
+        return axpy(out, ONE, {(mono, j + k): c for j, c in self.series.act_gen(g, i - k).items()})
 
     def key_sort(self, key):
         mono, i = key

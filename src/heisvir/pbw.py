@@ -229,8 +229,8 @@ def grade(u: UEAElement):
     return {w: UEAElement._trusted(part) for w, part in buckets.items()}
 
 
-def default_negative_restrict(g: Generator) -> bool:
-    """The standard negative part: I(-j) and d(-j) with j >= 1."""
+def in_negative_part(g: Generator) -> bool:
+    """Whether g lies in the strictly negative part: I(-j) or d(-j) with j >= 1."""
     kind, n = g
     return kind in ("I", "d") and n <= -1
 
@@ -244,7 +244,7 @@ def negative_part_basis(degree: int, restrict=None):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if restrict is None:
-        restrict = default_negative_restrict
+        restrict = in_negative_part
     gens = [
         g
         for n in range(degree, 0, -1)

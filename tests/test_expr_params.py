@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisvir.algebra import d, I, lie_sum
+from heisvir.algebra import d, I, lie, lie_sum
 from heisvir.errors import ExprError, IntegerOverflow, ParamError
 from heisvir.expr import (
     Gen,
@@ -190,14 +190,38 @@ def test_lie_power_of_sum_rejected_quickly():
     assert time.perf_counter() - t0 < 1
 
 
-@pytest.mark.parametrize("text", ["d(1)^2 - d(1)^2", "0*d(1)*d(2)", "1 + d(1)*d(2)"])
+@pytest.mark.parametrize(
+    "text",
+    ["d(1)^2 - d(1)^2", "0*d(1)*d(2)", "d(1)*0*d(2)", "d(1)*d(2)*0", "(d(1)-d(1))*d(2)", "1 + d(1)*d(2)"],
+)
 def test_lie_rejects_products_that_cancel(text):
     with pytest.raises(ExprError, match="products of generators"):
         parse_lie(text)
 
 
+def _rejects_product(tree) -> bool:
+    try:
+        to_lie(tree)
+    except ExprError as exc:
+        return "products of generators" in str(exc)
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trees, min_size=1, max_size=3), st.data())
+def test_lie_product_rejection_ignores_zeros_and_order(factors, data):
+    # whether a product is rejected depends only on which factors hold generators
+    rejected = _rejects_product(Prod(tuple(factors)))
+    shuffled = data.draw(st.permutations(factors))
+    at = data.draw(st.integers(0, len(factors)))
+    with_zero = factors[:at] + [Num(Q(0))] + factors[at:]
+    assert _rejects_product(Prod(tuple(shuffled))) == rejected
+    assert _rejects_product(Prod(tuple(with_zero))) == rejected
+
+
 def test_parse_lie():
     assert parse_lie("d(1) + 2/3*I(-2) - z1") == lie_sum((1, d(1)), (Q(2, 3), I(-2)), (-1, ("z", 1)))
+    assert parse_lie("d(1)^0*d(2)") == lie(d(2))
     with pytest.raises(ExprError):
         parse_lie("d(1)*d(2)")
     with pytest.raises(ExprError):
