@@ -541,8 +541,8 @@ class IntermediateSeriesModule(Module):
 class ShiftedTensorModule(Module):
     """Tensor of a Verma module with the intermediate series, shifted basis.
 
-    Keys are (monomial, i) for u w (x) x^(i - k), k the weight of u, so that
-    weight-n generators shift i by exactly n; they act by the tensor rule.
+    Keys are (monomial, i) for u w (x) y^i, y^i = x^(i - k) with k the weight
+    of u, so weight-n generators shift i by exactly n; they act by the tensor rule.
     """
 
     name = "shifted"
