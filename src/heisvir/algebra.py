@@ -277,28 +277,39 @@ def basis_window(bound: int):
 def jacobi_check(index_bound: int):
     """Check the Jacobi identity on all basis triples with |indices| <= bound.
 
-    Returns the list of violating triples (x, y, z, residual); empty means
-    the structure constants define a Lie algebra on this window.
+    Returns the list of violating triples (x, y, z, residual) ordered by x,
+    then y, then z; empty means the structure constants define a Lie algebra
+    on this window.
+
+    The residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]] of (x, y, z) is the sum
+    of the same three nested brackets as the residuals of its rotations
+    (y, z, x) and (z, x, y), so it is computed once per rotation class and
+    reported for every member.  Memory stays O(|generators|): no table
+    spans all pairs or triples.
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
     gens = basis_window(index_bound)
-    violations = []
-    for x in gens:
-        lx = lie(x)
-        for y in gens:
-            ly = lie(y)
-            bxy = bracket(lx, ly)
-            for z in gens:
-                lz = lie(z)
-                residual = (
-                    bracket(lx, bracket(ly, lz))
-                    + bracket(ly, bracket(lz, lx))
-                    + bracket(lz, bxy)
-                )
-                if residual:
-                    violations.append((x, y, z, residual))
-    return violations
+    found = []
+    for i, x in enumerate(gens):
+        into_x = [bracket_gens(z, x) for z in gens]
+        for j in range(i, len(gens)):
+            y = gens[j]
+            bxy = bracket_gens(x, y)
+            # (i, j, k) is the least rotation of its class: i <= j, i <= k, and
+            # k > i unless j == i, since of (i, i, m) and (i, m, i) the first is least
+            for k in range(i if j == i else i + 1, len(gens)):
+                z = gens[k]
+                out = {}
+                for u, inner in ((x, bracket_gens(y, z)), (y, into_x[k]), (z, bxy)):
+                    for g, c in inner.items():
+                        axpy(out, c, bracket_gens(u, g).coeffs)
+                if out:
+                    residual = LieElement._trusted(out)
+                    for position in {(i, j, k), (j, k, i), (k, i, j)}:
+                        found.append((position, residual))
+    found.sort(key=lambda entry: entry[0])
+    return [(gens[a], gens[b], gens[c], residual) for (a, b, c), residual in found]
 
 
 @dataclass(frozen=True)
@@ -365,7 +376,9 @@ def sigma_hom_check(spec: AutomorphismSpec, index_bound: int):
     """Verify sigma([x,y]) = [sigma(x), sigma(y)] on a bounded window.
 
     Returns the list of violating pairs; this is a bounded-window check,
-    not a proof that sigma is an automorphism.
+    not a proof that sigma is an automorphism.  Each generator's image is
+    computed once: those of the window first, those of bracket results
+    beyond it when first met.
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
@@ -374,7 +387,13 @@ def sigma_hom_check(spec: AutomorphismSpec, index_bound: int):
     violations = []
     for x in gens:
         for y in gens:
-            lhs = apply_sigma(spec, bracket_gens(x, y))
+            lhs = {}
+            for g, c in bracket_gens(x, y).items():
+                image = images.get(g)
+                if image is None:
+                    image = images[g] = sigma_gen(spec, g)
+                axpy(lhs, c, image.coeffs)
+            lhs = LieElement._trusted(lhs)
             rhs = bracket(images[x], images[y])
             if lhs != rhs:
                 violations.append((x, y, lhs - rhs))

@@ -235,6 +235,11 @@ class ModuleVector(SparseVector):
         return self.module.key_str(key)
 
 
+def _require_support(module: Module, g: Generator):
+    if not module.supports(g):
+        raise UnsupportedGenerator("%s does not act on %s" % (gen_str(g), module.name))
+
+
 def act(x, v: ModuleVector) -> ModuleVector:
     """Action of a LieElement (or a single generator) on a module vector."""
     if is_generator(x):
@@ -242,8 +247,7 @@ def act(x, v: ModuleVector) -> ModuleVector:
     module = v.module
     out = {}
     for g, cg in x.items():
-        if not module.supports(g):
-            raise UnsupportedGenerator("%s does not act on %s" % (gen_str(g), module.name))
+        _require_support(module, g)
         for key, cv in v.items():
             axpy(out, cg * cv, module.act_gen(g, key))
     return v._new(out)
@@ -258,8 +262,7 @@ def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
     for mono in u.coeffs:
         # in the order the letters act, so the first that cannot is reported
         for g, _ in reversed(mono):
-            if not module.supports(g):
-                raise UnsupportedGenerator("%s does not act on %s" % (gen_str(g), module.name))
+            _require_support(module, g)
     return v._new(module.multiply(u.coeffs, v.coeffs))
 
 
@@ -286,22 +289,80 @@ def _memoized(method):
 def module_axiom_check(module: Module, index_bound: int, window):
     """Check act([x,y], v) = act(x, act(y, v)) - act(y, act(x, v)).
 
-    Runs over all supported generator pairs with |indices| <= index_bound and
-    every basis key in the window; returns the list of violations.
+    Runs over all supported generator pairs with |indices| <= index_bound
+    (at least 1) and every basis key in the window; returns the violations
+    (x, y, key, residual) ordered by x, then y, then the window.  A bracket
+    that leaves the supported generators raises UnsupportedGenerator for
+    the first such pair (x, y) in that order.
+
+    Each quantity is computed once: the images act_gen(g, key) of the
+    window keys are tabulated, each bracket is formed once, and each
+    unordered pair {x, y} forms the composites x(y v) and y(x v) once for
+    the residuals of both (x, y) and (y, x).  Each residual still takes its
+    own bracket, so nothing assumes antisymmetry.  Memory stays
+    O(|generators| * |window|): no table spans all pairs.
     """
+    if index_bound < 1:
+        raise ValueError("index_bound must be >= 1")
     if not window:
         raise ValueError("window must be nonempty")
     gens = [g for g in basis_window(index_bound) if module.supports(g)]
-    vecs = [module.vector(k) for k in window]
-    violations = []
-    for x in gens:
-        for y in gens:
+    # one table per key; a bracket adds the generators it reaches beyond the window
+    tables = [(key, {g: module.act_gen(g, key) for g in gens}) for key in window]
+
+    def acted(b, key, table):
+        out = {}
+        for g, c in b.items():
+            image = table.get(g)
+            if image is None:
+                image = table[g] = module.act_gen(g, key)
+            axpy(out, c, image)
+        return out
+
+    def composite(x, image):
+        out = {}
+        for k, c in image.items():
+            axpy(out, c, module.act_gen(x, k))
+        return out
+
+    found = []
+
+    def note(position, x, y, key, residual):
+        if residual:
+            found.append((position, (x, y, key, module.vector(residual))))
+
+    # row a -> (b, bracket): the first bracket [gens[a], gens[b]] seen to leave supports
+    unsupported = {}
+    for i, x in enumerate(gens):
+        pairs = []
+        for j in range(i, len(gens)):
+            y = gens[j]
             bxy = bracket_gens(x, y)
-            for v in vecs:
-                residual = act(bxy, v) - (act(x, act(y, v)) - act(y, act(x, v)))
-                if residual:
-                    violations.append((x, y, next(iter(v.coeffs)), residual))
-    return violations
+            byx = bxy if j == i else bracket_gens(y, x)
+            closed = True
+            for a, b, br in ((i, j, bxy), (j, i, byx)):
+                if not all(module.supports(g) for g in br.coeffs):
+                    closed = False
+                    if a not in unsupported or b < unsupported[a][0]:
+                        unsupported[a] = (b, br)
+            if closed:
+                pairs.append((j, y, bxy, byx))
+        # every bracket [x, *] is known now, so the first in the order of (x, y) is reported
+        if i in unsupported:
+            for g in unsupported[i][1].coeffs:
+                _require_support(module, g)
+        for j, y, bxy, byx in pairs:
+            for w, (key, table) in enumerate(tables):
+                if j == i:
+                    # x(x v) - x(x v) vanishes exactly
+                    note((i, i, w), x, x, key, acted(bxy, key, table))
+                    continue
+                xy = composite(x, table[y])
+                yx = composite(y, table[x])
+                note((i, j, w), x, y, key, axpy(axpy(acted(bxy, key, table), -ONE, xy), ONE, yx))
+                note((j, i, w), y, x, key, axpy(axpy(acted(byx, key, table), -ONE, yx), ONE, xy))
+    found.sort(key=lambda entry: entry[0])
+    return [violation for _, violation in found]
 
 
 class MonomialModule(Module):

@@ -23,15 +23,19 @@
   words (exponential in the size of the tree), and the Lie lowering that
   reads those words; the package lowers through normal forms instead, and
   rejects a product of two non-constant factors without expanding it.
+- module_axiom_check_by_pairs and jacobi_check_by_triples: the original
+  window checks, which walk every ordered pair (every triple) and rebuild
+  each inner action (each inner bracket) wherever it occurs; the package
+  computes each composite once per unordered pair (per rotation class).
 """
 
 import math
 
-from heisvir.algebra import LieElement, Q, axpy, bracket_gens, gen_order_key
+from heisvir.algebra import LieElement, Q, axpy, basis_window, bracket, bracket_gens, gen_order_key, lie
 from heisvir.criteria import ALL_INTEGERS
 from heisvir.errors import ExprError, LambdaZero
 from heisvir.expr import Gen, Num, Pow, Sum
-from heisvir.modules import act, gen_binom
+from heisvir.modules import Module, act, gen_binom
 from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
 
 
@@ -240,3 +244,51 @@ def to_lie_by_words(e) -> LieElement:
 
 def mono_sort_key_by_letters(mono):
     return tuple(gen_order_key(g) for g in word_of(mono))
+
+
+def module_axiom_check_by_pairs(module: Module, index_bound: int, window):
+    """Check act([x,y], v) = act(x, act(y, v)) - act(y, act(x, v)).
+
+    Runs over all supported generator pairs with |indices| <= index_bound and
+    every basis key in the window; returns the list of violations.
+    """
+    if not window:
+        raise ValueError("window must be nonempty")
+    gens = [g for g in basis_window(index_bound) if module.supports(g)]
+    vecs = [module.vector(k) for k in window]
+    violations = []
+    for x in gens:
+        for y in gens:
+            bxy = bracket_gens(x, y)
+            for v in vecs:
+                residual = act(bxy, v) - (act(x, act(y, v)) - act(y, act(x, v)))
+                if residual:
+                    violations.append((x, y, next(iter(v.coeffs)), residual))
+    return violations
+
+
+def jacobi_check_by_triples(index_bound: int):
+    """Check the Jacobi identity on all basis triples with |indices| <= bound.
+
+    Returns the list of violating triples (x, y, z, residual); empty means
+    the structure constants define a Lie algebra on this window.
+    """
+    if index_bound < 1:
+        raise ValueError("index_bound must be >= 1")
+    gens = basis_window(index_bound)
+    violations = []
+    for x in gens:
+        lx = lie(x)
+        for y in gens:
+            ly = lie(y)
+            bxy = bracket(lx, ly)
+            for z in gens:
+                lz = lie(z)
+                residual = (
+                    bracket(lx, bracket(ly, lz))
+                    + bracket(ly, bracket(lz, lx))
+                    + bracket(lz, bxy)
+                )
+                if residual:
+                    violations.append((x, y, z, residual))
+    return violations

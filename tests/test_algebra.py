@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from heisvir import algebra
 from heisvir.algebra import (
     AutomorphismSpec,
     LieElement,
@@ -22,6 +23,7 @@ from heisvir.algebra import (
     lie_sum,
     sigma_hom_check,
 )
+from oracles import jacobi_check_by_triples
 
 
 def test_bracket_dd_central():
@@ -95,6 +97,21 @@ def test_jacobi_specific_triples():
 def test_jacobi_rejects_bad_bound():
     with pytest.raises(ValueError):
         jacobi_check(0)
+
+
+def test_jacobi_matches_triple_oracle(monkeypatch):
+    assert jacobi_check(2) == jacobi_check_by_triples(2) == []
+    # a stray I(0) in every [d(1), y], and in no [y, d(1)], breaks Jacobi on many
+    # triples; every rotation of each must be reported
+    original = algebra.bracket_gens
+
+    def skewed(x, y):
+        out = original(x, y)
+        return out + lie(I(0)) if x == d(1) else out
+
+    monkeypatch.setattr(algebra, "bracket_gens", skewed)
+    found = jacobi_check(2)
+    assert found and found == jacobi_check_by_triples(2)
 
 
 def test_sigma_identity():

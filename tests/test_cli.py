@@ -281,6 +281,16 @@ def test_negative_window_is_usage_error(capsys, case):
     assert out == "" and "window size" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_module_check_rejects_bound_below_one(capsys, bound):
+    # as jacobi and sigma-check do; such a bound checked the centrals alone
+    code, out, err = run(
+        capsys, "module-check", "--module", "iseries", "--params", "(a=1,b=0,F=0)", "--bound", bound, "--window", "2"
+    )
+    assert code == 1
+    assert out == "" and "index_bound must be >= 1" in err
+
+
 @pytest.mark.parametrize(
     "variant,params,key",
     [

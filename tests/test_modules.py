@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heisvir.algebra import Z1, Z2, Z3, basis_window, bracket, d, I, lie, lie_sum
+import oracles
+from heisvir import modules
+from heisvir.algebra import Z1, Z2, Z3, axpy, basis_window, bracket, d, I, lie, lie_sum
 from heisvir.errors import MixedModules, NeedNonzeroZ3, LambdaZero, UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
@@ -26,7 +28,7 @@ from heisvir.modules import (
 )
 from heisvir.expr import parse_uea
 from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, uea, word_of
-from oracles import act_uea_by_letters, example33_action
+from oracles import act_uea_by_letters, example33_action, module_axiom_check_by_pairs
 from test_cli import ACT_CASES, _case_module
 from test_golden import CASES
 
@@ -370,3 +372,98 @@ def test_act_uea_rejects_unsupported_letters(expr):
         with pytest.raises(UnsupportedGenerator) as oracle:
             act_uea_by_letters(u, v)
         assert str(fold.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_axiom_check_rejects_bound_below_one(bound):
+    # such a bound checked the centrals alone and reported no violation
+    with pytest.raises(ValueError, match="index_bound must be >= 1"):
+        module_axiom_check(IntermediateSeriesModule(ISP), bound, [0, 1])
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_axiom_check_matches_pairwise_oracle(case):
+    module = _case_module(case)
+    window = module.window(2)
+    assert module_axiom_check(module, 2, window) == module_axiom_check_by_pairs(module, 2, window)
+
+
+class _StrayIseries(IntermediateSeriesModule):
+    """The intermediate series with a stray term x^(m+3) in the action of d(1)."""
+
+    def act_gen(self, g, key):
+        out = dict(super().act_gen(g, key))
+        return axpy(out, Q(1), {key + 3: Q(1)}) if g == d(1) else out
+
+
+class _StrayFock(FockModule):
+    """The oscillator module with I(1) acting by an extra identity term."""
+
+    def act_gen(self, g, key):
+        out = dict(super().act_gen(g, key))
+        return axpy(out, Q(1), {key: Q(1)}) if g == I(1) else out
+
+
+@pytest.mark.parametrize(
+    "module", [_StrayIseries(ISP), _StrayFock(1, Q(1, 2), 1)], ids=["iseries", "fock"]
+)
+def test_axiom_check_matches_oracle_on_broken_action(module):
+    window = module.window(2)
+    found = module_axiom_check(module, 2, window)
+    assert found and found == module_axiom_check_by_pairs(module, 2, window)
+
+
+def _skew(original, strays):
+    """bracket_gens plus a stray generator in [x, y] for each (x, y) -> g of strays."""
+
+    def skewed(x, y):
+        out = original(x, y)
+        return out + lie(strays[x, y]) if (x, y) in strays else out
+
+    return skewed
+
+
+def _patch_bracket(monkeypatch, strays):
+    skewed = _skew(modules.bracket_gens, strays)
+    monkeypatch.setattr(modules, "bracket_gens", skewed)
+    monkeypatch.setattr(oracles, "bracket_gens", skewed)
+
+
+def test_axiom_check_matches_oracle_on_skewed_bracket(monkeypatch):
+    # [x, y] != -[y, x] here, so a residual derived from its mirror would differ
+    _patch_bracket(monkeypatch, {(d(1), y): I(0) for y in basis_window(2)})
+    module = IntermediateSeriesModule(ISP)
+    window = module.window(2)
+    found = module_axiom_check(module, 2, window)
+    assert found and found == module_axiom_check_by_pairs(module, 2, window)
+
+
+class _Restricted(IntermediateSeriesModule):
+    """The intermediate series with some generators declared unsupported."""
+
+    def __init__(self, params, excluded):
+        super().__init__(params)
+        self.excluded = excluded
+
+    def supports(self, g):
+        return g not in self.excluded
+
+
+def _unsupported_message(check, module):
+    with pytest.raises(UnsupportedGenerator) as info:
+        check(module, 1, module.window(1))
+    return str(info.value)
+
+
+def test_axiom_check_unsupported_bracket_matches_oracle(monkeypatch):
+    # [d(-1), d(1)] = 2 d(0) leaves supports
+    module = _Restricted(ISP, {d(0)})
+    message = _unsupported_message(module_axiom_check, module)
+    assert message == _unsupported_message(module_axiom_check_by_pairs, module)
+    # only [I(1), d(-1)] and [d(1), I(-1)] leave supports; an unordered walk meets the
+    # first while bracketing d(-1), but the ordered walk reports the second
+    _patch_bracket(monkeypatch, {(I(1), d(-1)): d(7), (d(1), I(-1)): d(8)})
+    module = _Restricted(ISP, {d(7), d(8)})
+    message = _unsupported_message(module_axiom_check, module)
+    assert message == _unsupported_message(module_axiom_check_by_pairs, module)
+    assert message.startswith("d(8) ")
