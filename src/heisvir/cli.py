@@ -71,30 +71,28 @@ class _Out:
         self.line("verdict", v.label, human=str(v))
 
 
+def _embedded(p: dict, hw) -> EmbeddedModule:
+    r, mu, kappa = paramsmod.mu_kappa(p)
+    if r != 1:
+        raise ParamError("the embedded variant supports r = 1")
+    return EmbeddedModule(mu, kappa, paramsmod.lam(p))
+
+
+# variant name -> constructor from the --params map and the highest weight data read from it
+_MODULES = {
+    VermaModule.name: lambda p, hw: VermaModule(hw),
+    IntermediateSeriesModule.name: lambda p, hw: IntermediateSeriesModule(paramsmod.is_params(p)),
+    FockModule.name: lambda p, hw: FockModule(hw.i0, hw.z2, hw.z3),
+    WhittakerModule.name: lambda p, hw: WhittakerModule(paramsmod.whittaker_character(p)),
+    ShiftedTensorModule.name: lambda p, hw: ShiftedTensorModule(hw, paramsmod.is_params(p)),
+    OmegaModule.name: lambda p, hw: OmegaModule(paramsmod.lam(p), hw.d0, hw.i0),
+    EmbeddedModule.name: _embedded,
+    WMuKappaModule.name: lambda p, hw: WMuKappaModule(*paramsmod.mu_kappa(p)),
+}
+
+
 def _build_module(variant: str, p: dict):
-    if variant == "verma":
-        return VermaModule(paramsmod.hw_params(p))
-    if variant == "iseries":
-        return IntermediateSeriesModule(paramsmod.is_params(p))
-    if variant == "fock":
-        hw = paramsmod.hw_params(p)
-        return FockModule(hw.i0, hw.z2, hw.z3)
-    if variant == "whittaker":
-        return WhittakerModule(paramsmod.whittaker_character(p))
-    if variant == "shifted":
-        return ShiftedTensorModule(paramsmod.hw_params(p), paramsmod.is_params(p))
-    if variant == "omega":
-        hw = paramsmod.hw_params(p)
-        return OmegaModule(paramsmod.lam(p), hw.d0, hw.i0)
-    if variant == "embedded":
-        r, mu, kappa = paramsmod.mu_kappa(p)
-        if r != 1:
-            raise ParamError("the embedded variant supports r = 1")
-        return EmbeddedModule(mu, kappa, paramsmod.lam(p))
-    if variant == "wmukappa":
-        r, mu, kappa = paramsmod.mu_kappa(p)
-        return WMuKappaModule(r, mu, kappa)
-    raise ParamError("unknown module variant: %r" % variant)
+    return _MODULES[variant](p, paramsmod.hw_params(p))
 
 
 def _parse_sigma_coeffs(text: str) -> dict:
@@ -258,10 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("expr")
     s.set_defaults(func=_cmd_normalize)
 
-    variants = ("verma", "iseries", "fock", "whittaker", "shifted", "omega", "embedded", "wmukappa")
-
     s = sub.add_parser("act", parents=[common], help="act by an expression on a module vector")
-    s.add_argument("--module", required=True, choices=variants)
+    s.add_argument("--module", required=True, choices=list(_MODULES))
     s.add_argument("--params", required=True)
     s.add_argument("expr")
     s.add_argument("vector")
@@ -310,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_membership)
 
     s = sub.add_parser("module-check", parents=[common], help="representation axioms on a window")
-    s.add_argument("--module", required=True, choices=variants)
+    s.add_argument("--module", required=True, choices=list(_MODULES))
     s.add_argument("--params", required=True)
     s.add_argument("--bound", type=int, required=True)
     s.add_argument("--window", type=int, required=True)

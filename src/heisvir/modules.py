@@ -12,6 +12,10 @@ algebra.SparseVector tied to their module.  Each variant owns its basis
 keys: act_gen acts on them, key_str names them, parse_key reads the vector a
 command-line key names and window lists the first keys for spot checks.
 
+Every variant memoizes act_gen per instance, the induced modules through
+the pbw.LeftAction memo and the rest through _memoized, so callers read
+images from act_gen and keep no image tables of their own.
+
 All values are immutable after construction and actions are pure; the only
 mutable state is per-instance memo dicts of frozen results, so concurrent
 reads are safe.
@@ -293,74 +297,47 @@ def module_axiom_check(module: Module, index_bound: int, window):
     (at least 1) and every basis key in the window; returns the violations
     (x, y, key, residual) ordered by x, then y, then the window.  A bracket
     that leaves the supported generators raises UnsupportedGenerator for
-    the first such pair (x, y) in that order.
+    the first such pair (x, y) in that order, before anything acts.
 
-    Each quantity is computed once: the images act_gen(g, key) of the
-    window keys are tabulated, each bracket is formed once, and each
-    unordered pair {x, y} forms the composites x(y v) and y(x v) once for
-    the residuals of both (x, y) and (y, x).  Each residual still takes its
-    own bracket, so nothing assumes antisymmetry.  Memory stays
-    O(|generators| * |window|): no table spans all pairs.
+    Images come from module.act_gen, which every variant memoizes, so the
+    check keeps no table of its own: each unordered pair {x, y} forms the
+    composites x(y v) and y(x v) once per key for the residuals of both
+    (x, y) and (y, x), and each residual takes its own bracket, so nothing
+    assumes antisymmetry.  The check itself holds the violations and one
+    pair's composites; the module's memo keeps every image act_gen(g, k)
+    the check reached, for the generators and their brackets on the window
+    keys and the keys their images reach, until the module is dropped.
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
     if not window:
         raise ValueError("window must be nonempty")
     gens = [g for g in basis_window(index_bound) if module.supports(g)]
-    # one table per key; a bracket adds the generators it reaches beyond the window
-    tables = [(key, {g: module.act_gen(g, key) for g in gens}) for key in window]
-
-    def acted(b, key, table):
-        out = {}
-        for g, c in b.items():
-            image = table.get(g)
-            if image is None:
-                image = table[g] = module.act_gen(g, key)
-            axpy(out, c, image)
-        return out
-
-    def composite(x, image):
-        out = {}
-        for k, c in image.items():
-            axpy(out, c, module.act_gen(x, k))
-        return out
+    for x in gens:
+        for y in gens:
+            for g in bracket_gens(x, y).coeffs:
+                _require_support(module, g)
 
     found = []
-
-    def note(position, x, y, key, residual):
-        if residual:
-            found.append((position, (x, y, key, module.vector(residual))))
-
-    # row a -> (b, bracket): the first bracket [gens[a], gens[b]] seen to leave supports
-    unsupported = {}
     for i, x in enumerate(gens):
-        pairs = []
         for j in range(i, len(gens)):
             y = gens[j]
-            bxy = bracket_gens(x, y)
-            byx = bxy if j == i else bracket_gens(y, x)
-            closed = True
-            for a, b, br in ((i, j, bxy), (j, i, byx)):
-                if not all(module.supports(g) for g in br.coeffs):
-                    closed = False
-                    if a not in unsupported or b < unsupported[a][0]:
-                        unsupported[a] = (b, br)
-            if closed:
-                pairs.append((j, y, bxy, byx))
-        # every bracket [x, *] is known now, so the first in the order of (x, y) is reported
-        if i in unsupported:
-            for g in unsupported[i][1].coeffs:
-                _require_support(module, g)
-        for j, y, bxy, byx in pairs:
-            for w, (key, table) in enumerate(tables):
-                if j == i:
-                    # x(x v) - x(x v) vanishes exactly
-                    note((i, i, w), x, x, key, acted(bxy, key, table))
-                    continue
-                xy = composite(x, table[y])
-                yx = composite(y, table[x])
-                note((i, j, w), x, y, key, axpy(axpy(acted(bxy, key, table), -ONE, xy), ONE, yx))
-                note((j, i, w), y, x, key, axpy(axpy(acted(byx, key, table), -ONE, yx), ONE, xy))
+            # (position, a, b, [a, b]) for the residual of (a, b); the diagonal has one
+            sides = [((i, j), x, y, bracket_gens(x, y))]
+            if j > i:
+                sides.append(((j, i), y, x, bracket_gens(y, x)))
+            for w, key in enumerate(window):
+                # a -> a(b v); x(x v) - x(x v) vanishes exactly, so the diagonal forms none
+                outer = {x: {}}
+                if j > i:
+                    outer = {a: module.act_power(a, 1, module.act_gen(b, key)) for _, a, b, _ in sides}
+                for position, a, b, bracket in sides:
+                    residual = {}
+                    for g, c in bracket.items():
+                        axpy(residual, c, module.act_gen(g, key))
+                    axpy(axpy(residual, -ONE, outer[a]), ONE, outer[b])
+                    if residual:
+                        found.append((position + (w,), (a, b, key, module.vector(residual))))
     found.sort(key=lambda entry: entry[0])
     return [violation for _, violation in found]
 
@@ -469,7 +446,7 @@ class WMuKappaModule(WhittakerModule):
     with n >= -1 and I(n) with n >= 0) act.
     """
 
-    name = "w_mu_kappa"
+    name = "wmukappa"
 
     def __init__(self, r, mu, kappa):
         self.r, self.mu, self.kappa = check_mu_kappa(r, mu, kappa)
@@ -577,7 +554,9 @@ class IntermediateSeriesModule(Module):
 
     def __init__(self, params: ISParams):
         self.params = params
+        self._memo = {}
 
+    @_memoized
     def act_gen(self, g: Generator, key: int):
         kind, n = g
         p = self.params
@@ -611,7 +590,9 @@ class ShiftedTensorModule(Module):
     def __init__(self, hw: HWParams, isp: ISParams):
         self.inner = VermaModule(hw)
         self.series = IntermediateSeriesModule(isp)
+        self._memo = {}
 
+    @_memoized
     def act_gen(self, g: Generator, key):
         mono, i = key
         n = gen_weight(g)

@@ -5,7 +5,7 @@ w_mu_kappa, shifted and embedded variants, the image act_gen(g, key) of every
 key of window(2) under every supported generator of basis_window(2), as a map
 key_str -> key_str -> coefficient, and the derived character phi_prime of two
 Whittaker characters.  Refactors of these modules must leave every entry as
-it is.
+it is, also after module_axiom_check has read them through the act_gen memo.
 
 Re-record (only when an action is meant to change):
 
@@ -22,11 +22,13 @@ from heisvir.errors import UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
     HWParams,
+    IntermediateSeriesModule,
     ISParams,
     ShiftedTensorModule,
     WhittakerCharacter,
     WhittakerModule,
     WMuKappaModule,
+    module_axiom_check,
     phi_prime,
 )
 
@@ -74,7 +76,22 @@ def _golden():
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_action_table(name):
-    assert action_table(MODULES[name]()) == _golden()[name]
+    M = MODULES[name]()
+    assert action_table(M) == _golden()[name]
+    # the check reads the memoized images; a caller that mutated one would change the table
+    module_axiom_check(M, 2, M.window(2))
+    assert action_table(M) == _golden()[name]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [IntermediateSeriesModule(ISParams(Q(1, 2), Q(1, 3), 2)), MODULES["shifted"]()],
+    ids=["iseries", "shifted"],
+)
+def test_act_gen_is_memoized(module):
+    for g in basis_window(2):
+        for key in module.window(2):
+            assert module.act_gen(g, key) is module.act_gen(g, key)
 
 
 def test_phi_prime_table():

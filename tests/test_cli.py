@@ -73,6 +73,13 @@ def test_precondition_exit_code(capsys):
     assert "z3" in err
 
 
+def test_unsupported_generator_names_the_variant(capsys):
+    # the message names the variant as --module spells it
+    code, out, err = run(capsys, "act", "--module", "wmukappa", "--params", "(r=1,mu1=1,mu2=1)", "I(-1)", "1")
+    assert code == 2 and out == ""
+    assert "I(-1) does not act on wmukappa" in err
+
+
 def test_sigma_check(capsys):
     code, out, _ = run(capsys, "sigma-check", "--a=-2=2,-1=1", "--b", "3", "--bound", "3")
     assert code == 0
