@@ -15,12 +15,20 @@ Generators are plain tuples ('d', n), ('I', n), ('z', i) so they can be used
 directly as dict keys.  SparseVector is the one sparse key -> Fraction map of
 the package, and axpy its one accumulate loop; LieElement, pbw.UEAElement and
 modules.ModuleVector are thin subclasses of it.
+
+The action layer (pbw.Action, every module's act_gen) works fraction-free, on
+images: an image (den, nums) is a positive int den and a map key -> nonzero
+int, standing for key -> nums[key] / den, in lowest terms (gcd(den, *nums) ==
+1), so equal vectors have equal images.  to_ints and to_fractions convert
+between the forms; lincomb is the accumulate loop of images, with one lcm
+per combination (the idea of Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 ONE = Q(1)
@@ -81,8 +89,8 @@ def gen_str(g: Generator) -> str:
 def axpy(out: dict, c, table) -> dict:
     """out += c * table on sparse key -> coefficient maps; cancelled keys are dropped.
 
-    This is the one accumulate loop of the package.  out is updated in place
-    and returned; table is only read.
+    The one accumulate loop of Fraction maps (lincomb is that of images).
+    out is updated in place and returned; table is only read.
     """
     for k, v in table.items():
         old = out.get(k)
@@ -92,6 +100,53 @@ def axpy(out: dict, c, table) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def to_ints(coeffs: dict) -> tuple:
+    """The image of a map key -> rational: one lcm of the denominators, zeros dropped."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
+
+
+def to_fractions(image) -> dict:
+    """The map key -> Fraction that an image stands for."""
+    den, nums = image
+    if den == 1:
+        return {k: Q(c) for k, c in nums.items()}
+    return {k: Q(c, den) for k, c in nums.items()}
+
+
+def lincomb(terms, den: int = 1) -> tuple:
+    """The image of (1/den) * (sum of c * image over the (c, image) terms).
+
+    Each c is an int and den a positive int; the images need not be in
+    lowest terms.  The terms are brought over the lcm of their denominators,
+    summed in integers with cancelled keys dropped, and the sum is reduced
+    by one gcd, so no Fraction is built.
+    """
+    common = 1
+    for _, (tden, _) in terms:
+        if tden != common and tden != 1:
+            common = lcm(common, tden)
+    out = {}
+    get = out.get
+    for c, (tden, nums) in terms:
+        if tden != common:
+            c *= common // tden
+        for k, m in nums.items():
+            s = get(k, 0) + c * m
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    # an empty sum reduces to the zero image (1, {})
+    den *= common
+    g = gcd(den, *out.values())
+    if g != 1:
+        den //= g
+        for k in out:
+            out[k] //= g
+    return den, out
 
 
 class SparseVector:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Q, basis_window, gen_weight
+from .algebra import Q, basis_window, gen_str, gen_weight, to_ints
 from .errors import NotNegativePart
 from .linsearch import Echelon
 from .modules import ISParams, WhittakerCharacter, check_mu_kappa
@@ -177,8 +177,8 @@ def integer_roots(p: NPoly):
     """
     if p.is_zero():
         return ALL_INTEGERS
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    nums = to_ints(dict(enumerate(p.coeffs)))[1]
+    ints = [nums.get(i, 0) for i in range(len(p.coeffs))]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     roots = set()
@@ -204,7 +204,7 @@ def rho_word(word, params: ISParams) -> NPoly:
     """
     for g in word:
         if not in_negative_part(g):
-            raise NotNegativePart("%r is not in the strictly negative part" % (g,))
+            raise NotNegativePart("%s is not in the strictly negative part" % gen_str(g))
     poly = NPoly.const(1)
     suffix_weight = [0] * (len(word) + 1)
     for idx in range(len(word) - 1, -1, -1):
@@ -318,8 +318,8 @@ def tensor_simplicity(gens, params: ISParams, exclude_n0: bool = False) -> Simpl
     Simple iff no integer n (excluding 0 when flagged) is a common root of
     every rho(gen); the quotient-by-trivial case is handled by exclude_n0.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
+    if not gens or any(g.is_zero() for g in gens):
+        raise ValueError("need at least one generator, and a zero one generates no submodule")
     polys = [rho(g, params) for g in gens]
     common = ALL_INTEGERS
     for p in polys:

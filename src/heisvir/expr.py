@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, Q, LieElement, axpy, gen_str
+from .algebra import ONE, Q, LieElement, axpy, gen_str, to_fractions, to_ints
 from .errors import ExprError, IntegerOverflow
 from .pbw import LeftAction, UEAElement
 
@@ -259,7 +259,12 @@ def _lower(e, letter, times) -> dict:
 
 def to_uea(e) -> UEAElement:
     """Lower a tree to the enveloping algebra (normal form)."""
-    return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), LeftAction().multiply))
+    kernel = LeftAction()
+
+    def times(a: dict, b: dict) -> dict:
+        return to_fractions(kernel.multiply(to_ints(a), to_ints(b)))
+
+    return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), times))
 
 
 def _has_generator(e) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .algebra import ONE, Q, I, axpy, d
+from .algebra import ONE, Q, I, d, lincomb, to_ints
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
 from .modules import (
     HWParams,
@@ -26,7 +26,6 @@ from .modules import (
     VermaModule,
     WhittakerCharacter,
     WhittakerModule,
-    act,
 )
 from .pbw import (
     UEAElement,
@@ -74,15 +73,13 @@ class Echelon:
     def _integral(self, vec) -> dict:
         """vec (column -> rational) scaled to a primitive integer row over positions."""
         index = self.index
-        den = lcm(*(v.denominator for v in vec.values()))
         row = {}
-        for k, v in vec.items():
-            if v:
-                p = index.get(k)
-                if p is None:
-                    p = index[k] = self.position(k)
-                    self.column[p] = k
-                row[p] = v.numerator * (den // v.denominator)
+        for k, v in to_ints(vec)[1].items():
+            p = index.get(k)
+            if p is None:
+                p = index[k] = self.position(k)
+                self.column[p] = k
+            row[p] = v
         return _primitive(row)
 
     def _keyed(self, row) -> dict:
@@ -162,13 +159,17 @@ class MatrixQ:
 
 def nullspace(M: MatrixQ) -> list:
     """Canonical kernel basis as maps column -> nonzero value: one vector per
-    free column, in increasing order, with a unit at that column.
+    free column, in increasing order, with a unit at that column, which is
+    the map's first key.
 
-    The pivot rows are back-substituted in integers from the last pivot up,
-    and every returned vector is re-checked against M exactly.
+    Rows are inserted fewest nonzeros first, ties in input order: the result
+    does not depend on the order, and short rows first keep fill-in and the
+    size of the integers down.  The pivot rows are back-substituted in
+    integers from the last pivot up, and every returned vector is re-checked
+    against M exactly.
     """
     span = Echelon.over(range(M.ncols))
-    for row in M.rows:
+    for row in sorted(M.rows, key=len):
         span.insert(row)
     reduced = {}
     for p in sorted(span.rows, reverse=True):
@@ -213,21 +214,30 @@ def _verified_kernel(module, keys, conditions) -> list:
 
     conditions lists (generator, value) pairs; the vectors are the kernel of
     the stacked maps act_gen(generator) - value over keys, and each one is
-    re-verified by direct action before it is returned.
+    re-verified by direct action before it is returned.  The matrix is built
+    in integers: column j holds the images of keys[j] scaled by scales[j],
+    the lcm of their denominators, so its kernel vectors are those sought
+    with entry j divided by scales[j], rescaled to a unit at the free column.
     """
     rows = {}
-    for ci, (gen, value) in enumerate(conditions):
-        for j, key in enumerate(keys):
-            image = module.act_gen(gen, key)
-            if value:
-                image = axpy(dict(image), -value, {key: ONE})
-            for target, c in image.items():
-                rows.setdefault((ci, target), {})[j] = c
+    scales = []
+    for j, key in enumerate(keys):
+        unit = (1, {key: 1})
+        column = [
+            lincomb([(value.denominator, module.act_gen(gen, key)), (-value.numerator, unit)], value.denominator)
+            for gen, value in conditions
+        ]
+        scales.append(lcm(*[den for den, _ in column]))
+        for ci, (den, nums) in enumerate(column):
+            for target, c in nums.items():
+                rows.setdefault((ci, target), {})[j] = c * (scales[j] // den)
     vectors = []
     for vec in nullspace(MatrixQ(rows.values(), len(keys))):
-        mv = ModuleVector(module, {keys[j]: c for j, c in vec.items()})
+        free = scales[next(iter(vec))]
+        mv = ModuleVector(module, {keys[j]: c * scales[j] / free for j, c in vec.items()})
+        image = to_ints(mv.coeffs)
         for gen, value in conditions:
-            if act(gen, mv) != value * mv:
+            if module.act_power(gen, 1, image) != lincomb([(value.numerator, image)], value.denominator):
                 raise AssertionError("kernel vector fails the defining conditions")
         vectors.append(mv)
     return vectors
@@ -269,19 +279,20 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     module = VermaModule(hw)
-    gens = []  # (UEAElement, degree, ModuleVector)
+    gens = []  # (UEAElement, degree, the vector as an image)
     for degree in range(1, max_degree + 1):
         keys = weight_basis(degree)
         found = _verified_kernel(module, keys, _ANNIHILATED)
         if not found:
             continue
         span = Echelon.over(keys)
-        for _, p, mv in gens:
+        for _, p, vec in gens:
             for mono in negative_part_basis(degree - p):
-                span.insert(module.apply(mono, mv.coeffs))
+                # the span is that of the numerators: one image shares one denominator
+                span.insert(module.apply(mono, vec)[1])
         for mv in found:
             if span.insert(mv.coeffs):
-                gens.append((_uea_of_vector(mv), degree, mv))
+                gens.append((_uea_of_vector(mv), degree, to_ints(mv.coeffs)))
     status = _gens_status(hw, [(u, p) for u, p, _ in gens], max_degree)
     return [u for u, _, _ in gens], status
 
@@ -355,9 +366,10 @@ class MembershipTester:
     def _extend(self, depth: int):
         while len(self.block_rank) <= depth:
             i = len(self.block_rank)
-            start = {(UNIT, self.n + i): ONE}
+            start = (1, {(UNIT, self.n + i): 1})
             for mono in negative_part_basis(i):
-                img = self.module.apply(mono, start)
+                # the numerators span what the image does, so Echelon takes them as they are
+                _, img = self.module.apply(mono, start)
                 # weight -i against y-exponent n+i lands back in the n-slice
                 flat = {}
                 for (m2, y), c in img.items():

@@ -12,9 +12,13 @@ algebra.SparseVector tied to their module.  Each variant owns its basis
 keys: act_gen acts on them, key_str names them, parse_key reads the vector a
 command-line key names and window lists the first keys for spot checks.
 
-Every variant memoizes act_gen per instance, the induced modules through
-the pbw.LeftAction memo and the rest through _memoized, so callers read
-images from act_gen and keep no image tables of their own.
+Every variant's act_gen returns an algebra image (an int map over one
+positive denominator, in lowest terms) and is memoized per instance, the
+induced modules through the pbw.LeftAction memo and the rest through
+_memoized, so callers keep no image tables of their own.  The closed forms
+may compute in Fractions and convert once on return; act, act_uea and
+module_axiom_check fold images in integers, and build Fractions only for
+the vectors they return.
 
 All values are immutable after construction and actions are pure; the only
 mutable state is per-instance memo dicts of frozen results, so concurrent
@@ -29,11 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .algebra import (
-    ONE,
     Q,
     Generator,
     SparseVector,
-    axpy,
     basis_window,
     bracket_gens,
     d,
@@ -42,6 +44,9 @@ from .algebra import (
     gen_weight,
     is_generator,
     lie,
+    lincomb,
+    to_fractions,
+    to_ints,
 )
 from .errors import (
     LambdaZero,
@@ -249,12 +254,13 @@ def act(x, v: ModuleVector) -> ModuleVector:
     if is_generator(x):
         x = lie(x)
     module = v.module
-    out = {}
-    for g, cg in x.items():
+    vec = to_ints(v.coeffs)
+    xden, xnums = to_ints(x.coeffs)
+    terms = []
+    for g, c in xnums.items():
         _require_support(module, g)
-        for key, cv in v.items():
-            axpy(out, cg * cv, module.act_gen(g, key))
-    return v._new(out)
+        terms.append((c, module.act_power(g, 1, vec)))
+    return v._new(to_fractions(lincomb(terms, xden)))
 
 
 def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
@@ -267,7 +273,7 @@ def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
         # in the order the letters act, so the first that cannot is reported
         for g, _ in reversed(mono):
             _require_support(module, g)
-    return v._new(module.multiply(u.coeffs, v.coeffs))
+    return v._new(to_fractions(module.multiply(to_ints(u.coeffs), to_ints(v.coeffs))))
 
 
 def _nonnegative(n: int) -> int:
@@ -322,22 +328,22 @@ def module_axiom_check(module: Module, index_bound: int, window):
     for i, x in enumerate(gens):
         for j in range(i, len(gens)):
             y = gens[j]
-            # (position, a, b, [a, b]) for the residual of (a, b); the diagonal has one
-            sides = [((i, j), x, y, bracket_gens(x, y))]
+            # (position, a, b, [a, b] as an image) for the residual of (a, b); the diagonal has one
+            sides = [((i, j), x, y, to_ints(bracket_gens(x, y).coeffs))]
             if j > i:
-                sides.append(((j, i), y, x, bracket_gens(y, x)))
+                sides.append(((j, i), y, x, to_ints(bracket_gens(y, x).coeffs)))
             for w, key in enumerate(window):
                 # a -> a(b v); x(x v) - x(x v) vanishes exactly, so the diagonal forms none
-                outer = {x: {}}
+                outer = {x: (1, {})}
                 if j > i:
                     outer = {a: module.act_power(a, 1, module.act_gen(b, key)) for _, a, b, _ in sides}
-                for position, a, b, bracket in sides:
-                    residual = {}
-                    for g, c in bracket.items():
-                        axpy(residual, c, module.act_gen(g, key))
-                    axpy(axpy(residual, -ONE, outer[a]), ONE, outer[b])
-                    if residual:
-                        found.append((position + (w,), (a, b, key, module.vector(residual))))
+                for position, a, b, (bden, bnums) in sides:
+                    # [a, b] v - a(b v) + b(a v), over the bracket's denominator
+                    terms = [(c, module.act_gen(g, key)) for g, c in bnums.items()]
+                    terms += [(-bden, outer[a]), (bden, outer[b])]
+                    residual = lincomb(terms, bden)
+                    if residual[1]:
+                        found.append((position + (w,), (a, b, key, module.vector(to_fractions(residual)))))
     found.sort(key=lambda entry: entry[0])
     return [violation for _, violation in found]
 
@@ -519,25 +525,21 @@ class FockModule(MonomialModule):
         """
         n_deg = -mono_weight(key)
         bound = n_deg + abs(k) + 1 + extra
-        coeff = Q(-1, 2) / self.z3
-        out = {}
-        for i in range(-bound, bound + 1):
-            pair = (-i, i + k)
-            first, second = max(pair), min(pair)
-            axpy(out, coeff, self.apply(((("I", second), 1), (("I", first), 1)), {key: ONE}))
-        lin = (k + 1) * self.z2 / self.z3
-        if lin:
-            axpy(out, lin, self._heis(k, key))
-        return out
+        start = (1, {key: 1})
+        pairs = [sorted((-i, i + k)) for i in range(-bound, bound + 1)]
+        quadratic = lincomb([(1, self.apply(((("I", a), 1), (("I", b), 1)), start)) for a, b in pairs])
+        # q times the quadratic sum plus r times I(k), over the product of their denominators
+        q, r = Q(-1, 2) / self.z3, (k + 1) * self.z2 / self.z3
+        terms = [(q.numerator * r.denominator, quadratic), (r.numerator * q.denominator, to_ints(self._heis(k, key)))]
+        return lincomb(terms, q.denominator * r.denominator)
 
     @_memoized
     def act_gen(self, g: Generator, key: Monomial):
         kind, n = g
         if kind == "z":
-            c = (self.z1, self.z2, self.z3)[n - 1]
-            return {key: c} if c else {}
+            return to_ints({key: (self.z1, self.z2, self.z3)[n - 1]})
         if kind == "I":
-            return self._heis(n, key)
+            return to_ints(self._heis(n, key))
         return self.d_action(n, key)
 
     def degree_keys(self, deg):
@@ -561,11 +563,8 @@ class IntermediateSeriesModule(Module):
         kind, n = g
         p = self.params
         if kind == "z":
-            return {}
-        if kind == "d":
-            c = p.a + key + n * p.b
-            return {key + n: c} if c else {}
-        return {key + n: p.F} if p.F else {}
+            return 1, {}
+        return to_ints({key + n: p.a + key + n * p.b if kind == "d" else p.F})
 
     def key_str(self, key):
         return "x^%d" % key
@@ -597,8 +596,10 @@ class ShiftedTensorModule(Module):
         mono, i = key
         n = gen_weight(g)
         k = mono_weight(mono)
-        out = {(m2, i + n): c for m2, c in self.inner.act_gen(g, mono).items()}
-        return axpy(out, ONE, {(mono, j + k): c for j, c in self.series.act_gen(g, i - k).items()})
+        inner_den, inner = self.inner.act_gen(g, mono)
+        series_den, series = self.series.act_gen(g, i - k)
+        inner = (inner_den, {(m2, i + n): c for m2, c in inner.items()})
+        return lincomb([(1, inner), (1, (series_den, {(mono, j + k): c for j, c in series.items()}))])
 
     def key_sort(self, key):
         mono, i = key
@@ -646,13 +647,16 @@ class OmegaModule(Module):
         _nonnegative(key)
         kind, n = g
         if kind == "z":
-            return {}
-        shifted = self._shift_pow(key, n)
+            return 1, {}
+        shifted = to_ints(self._shift_pow(key, n))
         if kind == "I":
-            return axpy({}, self.lam ** (n + 1) * self.b2, shifted)
-        lam_n = self.lam**n
-        out = axpy({}, lam_n, {k + 1: c for k, c in shifted.items()})
-        return axpy(out, lam_n * n * self.b1, shifted)
+            c = self.lam ** (n + 1) * self.b2
+            return lincomb([(c.numerator, shifted)], c.denominator)
+        # q X (X - n)^key + r (X - n)^key with q = lam^n and r = lam^n n b1
+        q, r = self.lam**n, self.lam**n * n * self.b1
+        up = (shifted[0], {k + 1: c for k, c in shifted[1].items()})
+        terms = [(q.numerator * r.denominator, up), (r.numerator * q.denominator, shifted)]
+        return lincomb(terms, q.denominator * r.denominator)
 
     def key_str(self, key):
         return "v" if key == 0 else "d0^%d(v)" % key
@@ -664,26 +668,23 @@ class OmegaModule(Module):
         return list(range(size + 1))
 
 
-def _embedded_gen(wm: WMuKappaModule, lam: Q, g: Generator, vec: dict) -> dict:
-    """The shift-embedded action of one generator on a map over wm's keys.
+def _embedded_gen(wm: WMuKappaModule, lam: Q, g: Generator, vec: tuple) -> tuple:
+    """The shift-embedded action of one generator on an image over wm's keys.
 
     t^n acts by the binomially expanded shift t -> t + lam, derivations
     likewise, and the central elements act as zero.  The expansions truncate
     because high generators kill every vector of the induced module.
     """
     kind, n = g
+    vden, vnums = vec
     if kind == "z":
-        return {}
-    maxdeg = max((mono_degree(k) for k in vec), default=0)
+        return 1, {}
+    maxdeg = max((mono_degree(k) for k in vnums), default=0)
     # I(n) expands over I(q), 0 <= q <= r + maxdeg; d(n) over d(q - 1), 0 <= q <= 2r + 1 + maxdeg
     shift, top = (0, wm.r + maxdeg) if kind == "I" else (1, 2 * wm.r + 1 + maxdeg)
-    out = {}
-    for q in range(top + 1):
-        c = gen_binom(n + shift, q) * lam ** (n + shift - q)
-        if c:
-            for key, cv in vec.items():
-                axpy(out, c * cv, wm.act_gen((kind, q - shift), key))
-    return out
+    cden, cnums = to_ints({q: gen_binom(n + shift, q) * lam ** (n + shift - q) for q in range(top + 1)})
+    terms = [(c * cv, wm.act_gen((kind, q - shift), key)) for q, c in cnums.items() for key, cv in vnums.items()]
+    return lincomb(terms, cden * vden)
 
 
 def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
@@ -699,10 +700,9 @@ def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
         raise MixedModules("embedded_action expects a vector of the induced polynomial-subalgebra module")
     if is_generator(x):
         x = lie(x)
-    out = {}
-    for g, cg in x.items():
-        axpy(out, cg, _embedded_gen(wm, lam, g, v.coeffs))
-    return v._new(out)
+    vec = to_ints(v.coeffs)
+    xden, xnums = to_ints(x.coeffs)
+    return v._new(to_fractions(lincomb([(c, _embedded_gen(wm, lam, g, vec)) for g, c in xnums.items()], xden)))
 
 
 class EmbeddedModule(Module):
@@ -728,12 +728,12 @@ class EmbeddedModule(Module):
         self._memo = {}
 
     @_memoized
-    def _plain(self, key) -> dict:
-        """The plain-basis vector behind an (i, j) key, as a map over the inner module's keys."""
+    def _plain(self, key) -> tuple:
+        """The plain-basis vector behind an (i, j) key, as an image over the inner module's keys."""
         i, j = key
         if i == 0:
-            return {((d(0), j),) if j else UNIT: ONE}
-        outer = {((d(0), 1),): ONE, ((d(-1), 1),): self.lam}
+            return 1, {((d(0), j),) if j else UNIT: 1}
+        outer = to_ints({((d(0), 1),): 1, ((d(-1), 1),): self.lam})
         return self.inner.multiply(outer, self._plain((i - 1, j)))
 
     @staticmethod
@@ -742,17 +742,17 @@ class EmbeddedModule(Module):
         exponents = dict(mono)
         return exponents.get(("d", -1), 0), exponents.get(("d", 0), 0)
 
-    def _from_plain(self, vec: dict) -> dict:
-        """Rewrite a plain vector over the (i, j) keys (triangular solve)."""
+    def _from_plain(self, vec: tuple) -> tuple:
+        """Rewrite a plain image over the (i, j) keys (triangular solve: the leading split falls)."""
         out = {}
-        rest = dict(vec)
-        while rest:
-            mono, c = max(rest.items(), key=lambda item: self._split(item[0]))
+        rest = vec
+        while rest[1]:
+            mono, c = max(rest[1].items(), key=lambda item: self._split(item[0]))
             s, t = self._split(mono)
-            coeff = c / self.lam**s
-            axpy(out, coeff, {(s, t): ONE})
-            axpy(rest, -coeff, self._plain((s, t)))
-        return out
+            coeff = out[(s, t)] = Q(c, rest[0]) / self.lam**s
+            # rest - coeff * plain(s, t), over the denominator of coeff
+            rest = lincomb([(coeff.denominator, rest), (-coeff.numerator, self._plain((s, t)))], coeff.denominator)
+        return to_ints(out)
 
     @_memoized
     def act_gen(self, g: Generator, key):

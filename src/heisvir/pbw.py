@@ -14,7 +14,10 @@ the right (Action, the fold every module shares), products of normal forms
 likewise, with a power g^e taken in one step where it prepends to every
 monomial; an induced module is the same kernel with the generators of a
 subalgebra absorbed on the cyclic vector by a character; U acting on itself
-is the module induced from the zero subalgebra.
+is the module induced from the zero subalgebra.  The kernel and the fold
+work in integers on algebra images (an int map over one denominator),
+combined by algebra.lincomb; normal_form and multiply convert once, to
+UEAElements with Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .algebra import (
     ONE,
     Generator,
     SparseVector,
-    axpy,
     bracket_gens,
     gen_order_key,
     gen_str,
     gen_weight,
+    lincomb,
+    to_fractions,
+    to_ints,
     d,
     I,
 )
@@ -102,52 +107,49 @@ def uea(g: Generator) -> UEAElement:
 class Action:
     """Generators acting on basis keys; monomials act by a fold.
 
-    Subclasses define act_gen(g, key), the image of one key as a map key ->
-    coefficient, which callers must not mutate.  apply and multiply fold the
-    (generator, exponent) pairs of a monomial in from the right over plain
-    maps: the one fold of the package, shared by the straightening kernel
+    Subclasses define act_gen(g, key), the image of one key as an
+    algebra image (den, nums), which callers must not mutate.  act_power,
+    apply and multiply take and return images, and fold the (generator,
+    exponent) pairs of a monomial in from the right with one lincomb per
+    factor: the one fold of the package, shared by the straightening kernel
     and every module.
     """
 
-    def act_power(self, g: Generator, e: int, vec: dict) -> dict:
+    def act_power(self, g: Generator, e: int, vec: tuple) -> tuple:
         """g^e * vec, one factor g at a time, stopping once the vector is zero."""
         for _ in range(e):
-            if not vec:
+            den, nums = vec
+            if not nums:
                 break
-            out = {}
-            for key, c in vec.items():
-                axpy(out, c, self.act_gen(g, key))
-            vec = out
+            vec = lincomb([(c, self.act_gen(g, key)) for key, c in nums.items()], den)
         return vec
 
-    def apply(self, mono, vec: dict) -> dict:
+    def apply(self, mono, vec: tuple) -> tuple:
         """mono * vec for a tuple mono of (generator, exponent) pairs, in any
-        order, and a map key -> coefficient vec."""
+        order, and an image vec."""
         for g, e in reversed(mono):
             vec = self.act_power(g, e, vec)
         return vec
 
-    def multiply(self, u: dict, v: dict) -> dict:
-        """u * v for a map monomial -> coefficient u and a map key -> coefficient v."""
-        out = {}
-        for mono, c in u.items():
-            axpy(out, c, self.apply(mono, v))
-        return out
+    def multiply(self, u: tuple, v: tuple) -> tuple:
+        """u * v for an image u over monomials and an image v over keys."""
+        den, nums = u
+        return lincomb([(c, self.apply(mono, v)) for mono, c in nums.items()], den)
 
 
 class LeftAction(Action):
     """Memoized left multiplication of normal monomials by one generator.
 
-    act_gen(g, mono) is g * mono in normal form, as a map monomial ->
-    coefficient.  Subclasses for induced modules override in_subalgebra and
-    define char: a subalgebra generator that reaches the unit (the cyclic
-    vector) acts there by its character value.  The base class, with an empty
-    subalgebra, is U acting on itself.  Straightened results are memoized
-    per instance.
+    act_gen(g, mono) is g * mono in normal form, as an image over monomials.
+    Subclasses for induced modules override in_subalgebra and define char: a
+    subalgebra generator that reaches the unit (the cyclic vector) acts there
+    by its character value.  The base class, with an empty subalgebra, is U
+    acting on itself.  Straightened results are memoized per instance.
     """
 
     def __init__(self):
         self._memo = {}
+        self._brackets = {}  # (g, h) -> [g, h] as an image
 
     def in_subalgebra(self, g: Generator) -> bool:
         return False
@@ -161,15 +163,16 @@ class LeftAction(Action):
             return ((g, mono[0][1] + e),) + mono[1:]
         return ((g, e),) + mono
 
-    def act_power(self, g: Generator, e: int, vec: dict) -> dict:
+    def act_power(self, g: Generator, e: int, vec: tuple) -> tuple:
         # one step, whatever e, when g^e prepends to every key
         out = {}
-        for mono, c in vec.items():
+        den, nums = vec
+        for mono, c in nums.items():
             placed = self._in_place(g, e, mono)
             if placed is None:
                 return super().act_power(g, e, vec)
             out[placed] = c
-        return out
+        return den, out
 
     def act_gen(self, g: Generator, mono: Monomial):
         memo = self._memo
@@ -179,27 +182,29 @@ class LeftAction(Action):
         placed = self._in_place(g, 1, mono)
         if placed is not None:
             # g is already in place: too cheap to be worth a memo entry
-            return {placed: ONE}
+            return 1, {placed: 1}
         if not mono:
-            c = self.char(g)
-            return {UNIT: c} if c else {}
+            out = memo[(g, mono)] = to_ints({UNIT: self.char(g)})
+            return out
         # g h^k rest = h (g h^(k-1) rest) + [g, h] h^(k-1) rest for the head
         # h^e, taken for k = 1..e in a loop, so that the recursion depth is
         # the number of distinct generators in mono, not its length
         head, e = mono[0]
         rest = mono[1:]
+        bracket = self._brackets.get((g, head))
+        if bracket is None:
+            bracket = self._brackets[(g, head)] = to_ints(bracket_gens(g, head).coeffs)
+        bden, bnums = bracket
         out = self.act_gen(g, rest)
         lower = rest
         for k in range(1, e + 1):
             upper = ((head, k),) + rest
             prev, out = out, memo.get((g, upper))
             if out is None:
-                out = {}
-                for m, c in prev.items():
-                    axpy(out, c, self.act_gen(head, m))
-                for g2, c in bracket_gens(g, head).items():
-                    axpy(out, c, self.act_gen(g2, lower))
-                memo[(g, upper)] = out
+                pden, pnums = prev
+                terms = [(c * bden, self.act_gen(head, m)) for m, c in pnums.items()]
+                terms += [(c * pden, self.act_gen(g2, lower)) for g2, c in bnums.items()]
+                out = memo[(g, upper)] = lincomb(terms, pden * bden)
             lower = upper
         return out
 
@@ -207,7 +212,7 @@ class LeftAction(Action):
 def straighten(words: dict) -> UEAElement:
     """Normal form of a combination of words (a map word -> coefficient)."""
     pairs = {tuple((g, 1) for g in word): c for word, c in words.items()}
-    return UEAElement._trusted(LeftAction().multiply(pairs, {UNIT: ONE}))
+    return UEAElement._trusted(to_fractions(LeftAction().multiply(to_ints(pairs), (1, {UNIT: 1}))))
 
 
 def normal_form(word) -> UEAElement:
@@ -217,7 +222,7 @@ def normal_form(word) -> UEAElement:
 
 def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
     """Associative product of U, with the result in normal form."""
-    return UEAElement._trusted(LeftAction().multiply(u.coeffs, v.coeffs))
+    return UEAElement._trusted(to_fractions(LeftAction().multiply(to_ints(u.coeffs), to_ints(v.coeffs))))
 
 
 def grade(u: UEAElement):

@@ -23,19 +23,35 @@
   words (exponential in the size of the tree), and the Lie lowering that
   reads those words; the package lowers through normal forms instead, and
   rejects a product of two non-constant factors without expanding it.
+- act_power_by_fractions, act_by_fractions and act_uea_by_fractions: the
+  original Fraction fold of the module actions, with axpy over maps key ->
+  Fraction, reading each act_gen image back through to_fractions; the
+  package folds images in integers over one denominator instead.
 - module_axiom_check_by_pairs and jacobi_check_by_triples: the original
   window checks, which walk every ordered pair (every triple) and rebuild
   each inner action (each inner bracket) wherever it occurs; the package
   computes each composite once per unordered pair (per rotation class).
+  The module check acts through the Fraction fold above.
 """
 
 import math
 
-from heisvir.algebra import LieElement, Q, axpy, basis_window, bracket, bracket_gens, gen_order_key, lie
+from heisvir.algebra import (
+    LieElement,
+    Q,
+    axpy,
+    basis_window,
+    bracket,
+    bracket_gens,
+    gen_order_key,
+    is_generator,
+    lie,
+    to_fractions,
+)
 from heisvir.criteria import ALL_INTEGERS
 from heisvir.errors import ExprError, LambdaZero
 from heisvir.expr import Gen, Num, Pow, Sum
-from heisvir.modules import Module, act, gen_binom
+from heisvir.modules import Module, _require_support, act, gen_binom
 from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
 
 
@@ -167,6 +183,43 @@ def act_uea_by_letters(u, v):
     return v._new(out)
 
 
+def act_power_by_fractions(module, g, e, vec: dict) -> dict:
+    """g^e * vec for a map key -> Fraction vec, one factor g at a time."""
+    for _ in range(e):
+        if not vec:
+            break
+        out = {}
+        for key, c in vec.items():
+            axpy(out, c, to_fractions(module.act_gen(g, key)))
+        vec = out
+    return vec
+
+
+def act_by_fractions(x, v):
+    """Action of a LieElement (or a single generator) on a module vector."""
+    if is_generator(x):
+        x = lie(x)
+    module = v.module
+    out = {}
+    for g, cg in x.items():
+        _require_support(module, g)
+        for key, cv in v.items():
+            axpy(out, cg * cv, to_fractions(module.act_gen(g, key)))
+    return v._new(out)
+
+
+def act_uea_by_fractions(u, v):
+    """Action of an enveloping-algebra element: each monomial folded in from the right."""
+    out = {}
+    for mono, c in u.items():
+        vec = v.coeffs
+        for g, e in reversed(mono):
+            _require_support(v.module, g)
+            vec = act_power_by_fractions(v.module, g, e, vec)
+        axpy(out, c, vec)
+    return v._new(out)
+
+
 def integer_roots_by_trial_division(p):
     """Exact integer root set: a sorted list, or ALL_INTEGERS for the zero polynomial.
 
@@ -261,7 +314,9 @@ def module_axiom_check_by_pairs(module: Module, index_bound: int, window):
         for y in gens:
             bxy = bracket_gens(x, y)
             for v in vecs:
-                residual = act(bxy, v) - (act(x, act(y, v)) - act(y, act(x, v)))
+                residual = act_by_fractions(bxy, v) - (
+                    act_by_fractions(x, act_by_fractions(y, v)) - act_by_fractions(y, act_by_fractions(x, v))
+                )
                 if residual:
                     violations.append((x, y, next(iter(v.coeffs)), residual))
     return violations

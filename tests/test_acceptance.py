@@ -24,6 +24,7 @@ from heisvir.algebra import (
     jacobi_check,
     lie_sum,
     sigma_hom_check,
+    to_fractions,
 )
 from heisvir.criteria import (
     NPoly,
@@ -143,7 +144,7 @@ def _oscillator():
         assert violations == [], violations[:2]
         scalar = 1 - 12 * Q(z2) ** 2 / Q(z3)
         for key in window:
-            assert module.act_gen(Z1, key) == {key: scalar}
+            assert to_fractions(module.act_gen(Z1, key)) == {key: scalar}
         checks += 1
     return "3 parameter sets, %d basis vectors" % len(window)
 
@@ -250,6 +251,25 @@ def test_criterion_07_singular_vectors():
 def test_gate_generic_singular_search_depth_8():
     t0 = time.perf_counter()
     assert singular_vectors(GENERIC_HW, 8).vectors == []
+    dt = time.perf_counter() - t0
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
+
+
+# Gates: deeper generic searches, kept small by nullspace inserting its rows
+# shortest first (with the rows as built, singular_vectors took about 4 s at
+# depth 10 and maximal_submodule_gens about 5 s at depth 10, on a 2-core host)
+
+
+def test_gate_generic_singular_search_depth_11():
+    t0 = time.perf_counter()
+    assert singular_vectors(GENERIC_HW, 11).vectors == []
+    dt = time.perf_counter() - t0
+    assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
+
+
+def test_gate_generic_submodule_search_depth_10():
+    t0 = time.perf_counter()
+    assert maximal_submodule_gens(GENERIC_HW, 10) == ([], "truncated")
     dt = time.perf_counter() - t0
     assert dt < 5, "time limit 5s exceeded: %.2fs" % dt
 
@@ -450,7 +470,7 @@ def _module_axioms():
     for g in gens:
         for key in ekeys:
             closed = {k: Q(c) for k, c in example33_action(E.mu, E.kappa, E.lam, g, key).items()}
-            assert closed == E.act_gen(g, key), (g, key)
+            assert closed == to_fractions(E.act_gen(g, key)), (g, key)
 
     ST = ShiftedTensorModule(
         HWParams(i0=3, d0=Q(5, 2), z1=1, z2=Q(1, 2), z3=2), ISParams(Q(1, 2), Q(1, 3), 2)
@@ -511,7 +531,7 @@ _ALL = [
     (8, "tensor-simplicity-recovery", _tensor_recovery, None),
     (9, "degenerate-point-recovery", _embedding_example_recovery, None),
     (10, "whittaker-criteria", _whittaker_criteria, None),
-    (11, "module-axioms", _module_axioms, 6),
+    (11, "module-axioms", _module_axioms, 3),
     (12, "triple-predicate-and-cover", _triple_and_cover, None),
 ]
 

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from heisvir.algebra import Q, basis_window, d, gen_str, I, Z1
+from heisvir.algebra import Q, basis_window, d, gen_str, I, Z1, to_fractions
 from heisvir.errors import UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
@@ -50,7 +50,7 @@ MODULES = {
 def action_table(module) -> dict:
     return {
         gen_str(g): {
-            module.key_str(key): {module.key_str(k): str(c) for k, c in module.act_gen(g, key).items()}
+            module.key_str(key): {module.key_str(k): str(c) for k, c in to_fractions(module.act_gen(g, key)).items()}
             for key in module.window(2)
         }
         for g in basis_window(2)

@@ -100,6 +100,19 @@ def test_tensor_simple_with_gens(capsys):
     assert out.strip() == "verdict\tNOT_SIMPLE n=-2"
 
 
+@pytest.mark.parametrize(
+    "gens, code, message",
+    [
+        ("d(-1)-d(-1)", 1, "error: need at least one generator, and a zero one generates no submodule\n"),
+        ("d(1)", 2, "precondition violated: d(1) is not in the strictly negative part\n"),
+    ],
+)
+def test_tensor_simple_rejects_bad_generators(capsys, gens, code, message):
+    # a zero generator printed NOT_SIMPLE and exited 0; d(1) was named ('d', 1)
+    result, out, err = run(capsys, "tensor-simple", "--params", "(a=1,b=0,F=0)", "--gens", gens)
+    assert (result, out, err) == (code, "", message)
+
+
 def test_tensor_simple_discovery(capsys):
     code, out, _ = run(
         capsys,

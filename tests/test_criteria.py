@@ -87,7 +87,8 @@ def test_rho_degree_law():
 
 
 def test_rho_rejects_nonnegative():
-    with pytest.raises(NotNegativePart):
+    # the generator is named as the parser writes it, not as a tuple
+    with pytest.raises(NotNegativePart, match=r"^d\(0\) is not in the strictly negative part$"):
         rho(uea(d(0)), GENERIC)
     with pytest.raises(NotNegativePart):
         rho(uea(I(2)), GENERIC)
@@ -226,6 +227,10 @@ def test_verdict_text_and_label(verdict, text, label):
 def test_tensor_simplicity_needs_generators():
     with pytest.raises(ValueError):
         tensor_simplicity([], GENERIC)
+    # a zero element generates no submodule; it read as "every integer n is a common root"
+    for gens in ([UEAElement()], [uea(d(-1)), normal_form((d(-1),)) - uea(d(-1))]):
+        with pytest.raises(ValueError, match="a zero one generates no submodule"):
+            tensor_simplicity(gens, GENERIC)
 
 
 def poly_multiples(root, window):

@@ -87,12 +87,15 @@ def _dense_kernel(rows, nc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_matrices())
-def test_rref_and_nullspace_match_dense_oracle(matrix):
+@given(sparse_matrices(), st.data())
+def test_rref_and_nullspace_match_dense_oracle(matrix, data):
     rows, nc = matrix
     kernel = nullspace(MatrixQ(_sparse(rows), nc))
     assert kernel == _dense_kernel(rows, nc)
     assert len(rref_dense(rows, nc)[1]) + len(kernel) == nc
+    # nullspace inserts the rows shortest first, ties in input order; no order changes the basis
+    shuffled = data.draw(st.permutations(rows))
+    assert nullspace(MatrixQ(_sparse(shuffled), nc)) == kernel
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,29 @@
+import math
 import random
 
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from heisvir import modules
-from heisvir.algebra import Z1, Z2, Z3, axpy, basis_window, bracket, d, I, lie, lie_sum
+from heisvir.algebra import (
+    LieElement,
+    Z1,
+    Z2,
+    Z3,
+    axpy,
+    basis_window,
+    bracket,
+    d,
+    I,
+    lie,
+    lie_sum,
+    to_fractions,
+    to_ints,
+)
 from heisvir.errors import MixedModules, NeedNonzeroZ3, LambdaZero, UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
@@ -27,8 +44,14 @@ from heisvir.modules import (
     phi_prime,
 )
 from heisvir.expr import parse_uea
-from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, uea, word_of
-from oracles import act_uea_by_letters, example33_action, module_axiom_check_by_pairs
+from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, straighten, uea, word_of
+from oracles import (
+    act_by_fractions,
+    act_uea_by_fractions,
+    act_uea_by_letters,
+    example33_action,
+    module_axiom_check_by_pairs,
+)
 from test_cli import ACT_CASES, _case_module
 from test_golden import CASES
 
@@ -267,7 +290,7 @@ def test_embedded_module_matches_example33():
     for g in gens:
         for key in keys:
             closed = example33_action(E.mu, E.kappa, E.lam, g, key)
-            assert {k: Q(c) for k, c in closed.items()} == E.act_gen(g, key)
+            assert {k: Q(c) for k, c in closed.items()} == to_fractions(E.act_gen(g, key))
 
 
 def test_embedded_module_axioms():
@@ -389,20 +412,51 @@ def test_axiom_check_matches_pairwise_oracle(case):
         assert module_axiom_check(module, 2, window) == module_axiom_check_by_pairs(module, 2, window)
 
 
+@pytest.mark.parametrize("case", ACT_CASES)
+def test_act_gen_images_are_in_lowest_terms(case):
+    # one positive denominator, no zero entry and no common factor: equal vectors have equal images
+    module = _case_module(case)
+    for g in basis_window(2):
+        if module.supports(g):
+            for key in module.window(2):
+                den, nums = module.act_gen(g, key)
+                assert den > 0 and all(nums.values()) and math.gcd(den, *nums.values()) == 1, (g, key)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@pytest.mark.parametrize("case", ACT_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_integer_fold_matches_fraction_oracle(case, data):
+    module = _case_module(case)
+    keys = module.window(2)
+    gens = [g for g in basis_window(2) if module.supports(g)]
+    v = module.vector(data.draw(st.dictionaries(st.sampled_from(keys), _RATIONALS, max_size=3)))
+    x = LieElement(data.draw(st.dictionaries(st.sampled_from(gens), _RATIONALS, max_size=3)))
+    assert act(x, v) == act_by_fractions(x, v)
+    words = st.lists(st.sampled_from(gens), max_size=3).map(tuple)
+    u = straighten(data.draw(st.dictionaries(words, _RATIONALS, max_size=3)))
+    assert act_uea(u, v) == act_uea_by_fractions(u, v)
+    window = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    assert module_axiom_check(module, 1, window) == module_axiom_check_by_pairs(module, 1, window)
+
+
 class _StrayIseries(IntermediateSeriesModule):
     """The intermediate series with a stray term x^(m+3) in the action of d(1)."""
 
     def act_gen(self, g, key):
-        out = dict(super().act_gen(g, key))
-        return axpy(out, Q(1), {key + 3: Q(1)}) if g == d(1) else out
+        out = to_fractions(super().act_gen(g, key))
+        return to_ints(axpy(out, Q(1), {key + 3: Q(1)}) if g == d(1) else out)
 
 
 class _StrayFock(FockModule):
     """The oscillator module with I(1) acting by an extra identity term."""
 
     def act_gen(self, g, key):
-        out = dict(super().act_gen(g, key))
-        return axpy(out, Q(1), {key: Q(1)}) if g == I(1) else out
+        out = to_fractions(super().act_gen(g, key))
+        return to_ints(axpy(out, Q(1), {key: Q(1)}) if g == I(1) else out)
 
 
 @pytest.mark.parametrize(
