@@ -7,8 +7,6 @@ from .algebra import (
     Z1,
     Z2,
     Z3,
-    ad_weight,
-    apply_sigma,
     bracket,
     d,
     I,
@@ -59,6 +57,6 @@ from .modules import (
     module_axiom_check,
     phi_prime,
 )
-from .pbw import UEAElement, grade, multiply, negative_part_basis, normal_form, uea
+from .pbw import UEAElement, multiply, negative_part_basis, normal_form, uea
 
 __all__ = [name for name in dir() if not name.startswith("_")]

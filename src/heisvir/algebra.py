@@ -12,26 +12,29 @@ Structure constants:
     [z_i, anything] = 0
 
 Generators are plain tuples ('d', n), ('I', n), ('z', i) so they can be used
-directly as dict keys.  SparseVector is the one sparse key -> Fraction map of
-the package, and axpy its one accumulate loop; LieElement, pbw.UEAElement and
-modules.ModuleVector are thin subclasses of it.
+directly as dict keys.
 
-The action layer (pbw.Action, every module's act_gen) works fraction-free, on
-images: an image (den, nums) is a positive int den and a map key -> nonzero
-int, standing for key -> nums[key] / den, in lowest terms (gcd(den, *nums) ==
-1), so equal vectors have equal images.  to_ints and to_fractions convert
-between the forms; lincomb is the accumulate loop of images, with one lcm
-per combination (the idea of Bareiss, Math. Comp. 22, 1968).
+Every layer computes fraction-free, on images: an image (den, nums) is a
+positive int den and a map key -> nonzero int, standing for key ->
+nums[key] / den, in lowest terms (gcd(den, *nums) == 1), so equal vectors
+have equal images.  lincomb is the one accumulate loop, with one lcm per
+combination (the idea of Bareiss, Math. Comp. 22, 1968); to_ints reads a
+map key -> rational at the edge.  SparseVector stores an image, and its
+coeffs view builds Fractions only for printing and public readers;
+LieElement, pbw.UEAElement and modules.ModuleVector are thin subclasses of
+it.  bracket_gens is memoized: one table of structure constants, whose
+denominators divide 12, serves the whole package.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 Q = Fraction
-ONE = Q(1)
 
 Generator = tuple  # ('d', n) | ('I', n) | ('z', i)
 
@@ -86,152 +89,150 @@ def gen_str(g: Generator) -> str:
     return "%s(%d)" % (kind, n)
 
 
-def axpy(out: dict, c, table) -> dict:
-    """out += c * table on sparse key -> coefficient maps; cancelled keys are dropped.
-
-    The one accumulate loop of Fraction maps (lincomb is that of images).
-    out is updated in place and returned; table is only read.
-    """
-    for k, v in table.items():
-        old = out.get(k)
-        s = c * v if old is None else old + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def to_ints(coeffs: dict) -> tuple:
     """The image of a map key -> rational: one lcm of the denominators, zeros dropped."""
     den = lcm(*[c.denominator for c in coeffs.values()])
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
 
 
-def to_fractions(image) -> dict:
-    """The map key -> Fraction that an image stands for."""
-    den, nums = image
-    if den == 1:
-        return {k: Q(c) for k, c in nums.items()}
-    return {k: Q(c, den) for k, c in nums.items()}
-
-
 def lincomb(terms, den: int = 1) -> tuple:
     """The image of (1/den) * (sum of c * image over the (c, image) terms).
 
     Each c is an int and den a positive int; the images need not be in
-    lowest terms.  The terms are brought over the lcm of their denominators,
-    summed in integers with cancelled keys dropped, and the sum is reduced
-    by one gcd, so no Fraction is built.
+    lowest terms, but hold no zero.  The terms are brought over the lcm of
+    their denominators, summed in integers with cancelled keys dropped, and
+    the sum is reduced by one gcd, so no Fraction is built.
     """
     common = 1
     for _, (tden, _) in terms:
         if tden != common and tden != 1:
             common = lcm(common, tden)
     out = {}
-    get = out.get
     for c, (tden, nums) in terms:
         if tden != common:
             c *= common // tden
+        if not out:
+            if c:
+                out = dict(nums) if c == 1 else {k: c * m for k, m in nums.items()}
+            continue
+        get = out.get
         for k, m in nums.items():
             s = get(k, 0) + c * m
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-    # an empty sum reduces to the zero image (1, {})
+    # an empty sum reduces to the zero image (1, {}); over den 1 every image is reduced
     den *= common
-    g = gcd(den, *out.values())
-    if g != 1:
-        den //= g
-        for k in out:
-            out[k] //= g
+    if den != 1:
+        g = gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            for k in out:
+                out[k] //= g
     return den, out
+
+
+class Coeffs(Mapping):
+    """Read-only view key -> Fraction of an image; each value is built when read."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        self.image = image
+
+    def __getitem__(self, key):
+        return Q(self.image[1][key], self.image[0])
+
+    def __iter__(self):
+        return iter(self.image[1])
+
+    def __len__(self):
+        return len(self.image[1])
 
 
 class SparseVector:
     """Finite rational linear combination of basis keys.
 
-    Immutable by convention; no zero coefficient is stored, every stored
-    coefficient is a Fraction, and equality is structural on the sparse map.
+    Immutable by convention.  The vector is stored as its image, so no zero
+    coefficient is stored and equality and hashing are structural; coeffs is
+    the read-only view key -> Fraction for printing and public readers.
     Subclasses supply the key order (key_order) and the key names (key_str);
     a key printed as "1" is the unit and prints as its bare coefficient.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("image",)
 
     def __init__(self, coeffs=None):
-        pruned = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Q(c)
-                if c:
-                    pruned[k] = c
-        self.coeffs = pruned
+        self.image = to_ints({k: Q(c) for k, c in (coeffs or {}).items()})
 
     @classmethod
-    def _trusted(cls, coeffs):
-        """Wrap an already pruned map of Fractions without coercing it."""
+    def _trusted(cls, image):
+        """Wrap an image, which must be in lowest terms, without checking it."""
         out = cls.__new__(cls)
-        out.coeffs = coeffs
+        out.image = image
         return out
 
-    def _new(self, coeffs):
-        """A vector of the same space as self, holding a trusted map."""
-        return self._trusted(coeffs)
+    def _new(self, image):
+        """A vector of the same space as self, holding a trusted image."""
+        return self._trusted(image)
 
     def _check(self, other):
         """Raise if other cannot be combined with self."""
 
+    @property
+    def coeffs(self) -> Coeffs:
+        return Coeffs(self.image)
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.image[1])
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.image[1]
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.image == other.image
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        den, nums = self.image
+        return hash((den, frozenset(nums.items())))
 
     def __add__(self, other):
         self._check(other)
-        return self._new(axpy(dict(self.coeffs), ONE, other.coeffs))
+        return self._new(lincomb([(1, self.image), (1, other.image)]))
 
     def __sub__(self, other):
         self._check(other)
-        return self._new(axpy(dict(self.coeffs), -ONE, other.coeffs))
+        return self._new(lincomb([(1, self.image), (-1, other.image)]))
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.coeffs.items()})
+        den, nums = self.image
+        return self._new((den, {k: -c for k, c in nums.items()}))
 
     def __rmul__(self, scalar):
         scalar = Q(scalar)
-        if not scalar:
-            return self._new({})
-        return self._new({k: scalar * c for k, c in self.coeffs.items()})
+        return self._new(lincomb([(scalar.numerator, self.image)], scalar.denominator))
 
-    def __mul__(self, scalar):
-        return self.__rmul__(scalar)
+    __mul__ = __rmul__
 
     def items(self):
         return self.coeffs.items()
 
     def support(self):
-        return sorted(self.coeffs, key=self.key_order)
+        return sorted(self.image[1], key=self.key_order)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)
 
     def __str__(self):
-        if not self.coeffs:
+        den, nums = self.image
+        if not nums:
             return "0"
         parts = []
         for k in self.support():
-            c = self.coeffs[k]
+            c = Q(nums[k], den)
             ks = self.key_str(k)
             if ks == "1":
                 term = str(c)
@@ -263,63 +264,56 @@ ZERO = LieElement()
 
 def lie(g: Generator) -> LieElement:
     """The basis generator g as a LieElement."""
-    return LieElement._trusted({g: ONE})
+    return LieElement._trusted((1, {g: 1}))
 
 
 def lie_sum(*terms) -> LieElement:
     """Sum of (coefficient, generator) pairs."""
     out = {}
     for c, g in terms:
-        axpy(out, Q(c), {g: ONE})
-    return LieElement._trusted(out)
+        out[g] = out.get(g, 0) + Q(c)
+    return LieElement(out)
 
 
+@functools.cache
 def bracket_gens(x: Generator, y: Generator) -> LieElement:
-    """Lie bracket of two basis generators."""
+    """Lie bracket of two basis generators, computed once per pair.
+
+    The cache is the one bracket table of the package, shared by every
+    kernel, module and check; it keeps one entry per pair met for the life
+    of the process, and callers must not mutate the image.
+    """
     kx, n = x
     ky, m = y
     if kx == "z" or ky == "z":
         return ZERO
+    sign = 1
     if kx == "I" and ky == "d":
-        return -bracket_gens(y, x)
+        (kx, n), (ky, m), sign = y, x, -1
     # the two terms of each bracket have distinct generators, so no accumulation
     out = {}
     if kx == "d" and ky == "d":
         if m != n:
-            out[d(n + m)] = Q(m - n)
+            out[d(n + m)] = 12 * (m - n)
         if n == -m and n**3 != n:
-            out[Z1] = Q(n**3 - n, 12)
+            out[Z1] = n**3 - n
     elif kx == "d":
         if m != 0:
-            out[I(n + m)] = Q(m)
+            out[I(n + m)] = m
         if n == -m and n * n + n:
-            out[Z2] = Q(n * n + n)
+            out[Z2] = n * n + n
     elif n == -m and n != 0:
         # I-I pair
-        out[Z3] = Q(n)
-    return LieElement._trusted(out)
+        out[Z3] = n
+    return LieElement._trusted(lincomb([(sign, (1, out))], 12 if kx == ky == "d" else 1))
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Bilinear extension of the bracket to arbitrary elements."""
-    out = {}
-    for gx, cx in x.items():
-        for gy, cy in y.items():
-            axpy(out, cx * cy, bracket_gens(gx, gy).coeffs)
-    return LieElement._trusted(out)
-
-
-def ad_weight(x):
-    """ad(d0)-weight of a generator or a LieElement.
-
-    Returns None for inhomogeneous (or zero) elements.
-    """
-    if is_generator(x):
-        return gen_weight(x)
-    weights = {gen_weight(g) for g in x.coeffs}
-    if len(weights) == 1:
-        return weights.pop()
-    return None
+    xden, xnums = x.image
+    yden, ynums = y.image
+    terms = [(cx * cy, bracket_gens(gx, gy).image) for gx, cx in xnums.items() for gy, cy in ynums.items()]
+    return LieElement._trusted(lincomb(terms, xden * yden))
 
 
 def basis_window(bound: int):
@@ -347,20 +341,23 @@ def jacobi_check(index_bound: int):
     gens = basis_window(index_bound)
     found = []
     for i, x in enumerate(gens):
-        into_x = [bracket_gens(z, x) for z in gens]
+        into_x = [bracket_gens(z, x).image for z in gens]
         for j in range(i, len(gens)):
             y = gens[j]
-            bxy = bracket_gens(x, y)
+            bxy = bracket_gens(x, y).image
             # (i, j, k) is the least rotation of its class: i <= j, i <= k, and
             # k > i unless j == i, since of (i, i, m) and (i, m, i) the first is least
             for k in range(i if j == i else i + 1, len(gens)):
                 z = gens[k]
-                out = {}
-                for u, inner in ((x, bracket_gens(y, z)), (y, into_x[k]), (z, bxy)):
-                    for g, c in inner.items():
-                        axpy(out, c, bracket_gens(u, g).coeffs)
-                if out:
-                    residual = LieElement._trusted(out)
+                inner = ((x, bracket_gens(y, z).image), (y, into_x[k]), (z, bxy))
+                # the outer brackets over the lcm of the inner denominators
+                common = lcm(*[den for _, (den, _) in inner])
+                terms = [
+                    (c * (common // den), bracket_gens(u, g).image) for u, (den, nums) in inner for g, c in nums.items()
+                ]
+                residual = lincomb(terms, common)
+                if residual[1]:
+                    residual = LieElement._trusted(residual)
                     for position in {(i, j, k), (j, k, i), (k, i, j)}:
                         found.append((position, residual))
     found.sort(key=lambda entry: entry[0])
@@ -419,14 +416,6 @@ def sigma_gen(spec: AutomorphismSpec, g: Generator) -> LieElement:
     return lie_sum(*terms)
 
 
-def apply_sigma(spec: AutomorphismSpec, x: LieElement) -> LieElement:
-    """Linear extension of sigma_{a,b} to arbitrary elements."""
-    out = {}
-    for g, c in x.items():
-        axpy(out, c, sigma_gen(spec, g).coeffs)
-    return LieElement._trusted(out)
-
-
 def sigma_hom_check(spec: AutomorphismSpec, index_bound: int):
     """Verify sigma([x,y]) = [sigma(x), sigma(y)] on a bounded window.
 
@@ -442,14 +431,12 @@ def sigma_hom_check(spec: AutomorphismSpec, index_bound: int):
     violations = []
     for x in gens:
         for y in gens:
-            lhs = {}
-            for g, c in bracket_gens(x, y).items():
-                image = images.get(g)
-                if image is None:
-                    image = images[g] = sigma_gen(spec, g)
-                axpy(lhs, c, image.coeffs)
-            lhs = LieElement._trusted(lhs)
+            bden, bnums = bracket_gens(x, y).image
+            for g in bnums:
+                if g not in images:
+                    images[g] = sigma_gen(spec, g)
+            lhs = lincomb([(c, images[g].image) for g, c in bnums.items()], bden)
             rhs = bracket(images[x], images[y])
-            if lhs != rhs:
-                violations.append((x, y, lhs - rhs))
+            if lhs != rhs.image:
+                violations.append((x, y, LieElement._trusted(lhs) - rhs))
     return violations

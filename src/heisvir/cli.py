@@ -96,15 +96,22 @@ def _build_module(variant: str, p: dict):
 
 
 def _parse_sigma_coeffs(text: str) -> dict:
+    """The Laurent coefficients of --a: comma-separated i=value pairs, each index once."""
     coeffs = {}
     text = text.strip()
     if not text or text == "0":
         return coeffs
     for item in text.split(","):
-        if "=" not in item:
+        idx, eq, val = item.partition("=")
+        if not eq:
             raise ParamError("expected i=value in %r" % item)
-        idx, _, val = item.partition("=")
-        coeffs[int(idx.strip())] = paramsmod.parse_rational(val)
+        try:
+            i = int(idx)
+        except ValueError:
+            raise ParamError("expected i=value with an integer i in %r" % item) from None
+        if i in coeffs:
+            raise ParamError("duplicate index: %d" % i)
+        coeffs[i] = paramsmod.parse_rational(val)
     return coeffs
 
 

@@ -2,7 +2,9 @@
 
 The centrepiece is the linear functional rho_n on the negative enveloping
 algebra, computed symbolically as a polynomial in n so that "nonzero for all
-integers n" becomes an exact integer-root problem.
+integers n" becomes an exact integer-root problem.  rho multiplies out its
+factors and sums over monomials in integers over one denominator, the
+format that NPoly stores and integer_roots reads.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Q, basis_window, gen_str, gen_weight, to_ints
+from .algebra import Q, basis_window, gen_str, lincomb, to_ints
 from .errors import NotNegativePart
 from .linsearch import Echelon
 from .modules import ISParams, WhittakerCharacter, check_mu_kappa
@@ -18,80 +20,94 @@ from .pbw import UEAElement, in_negative_part, word_of
 
 
 class NPoly:
-    """Univariate polynomial in the indeterminate n with exact coefficients."""
+    """Univariate polynomial in the indeterminate n with exact coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored in integers over one denominator: nums lists the numerators from
+    the constant term up, with no trailing zero, over a positive den, in
+    lowest terms, so equality is structural.  coeffs reads them as
+    Fractions, and image as an algebra image {exponent: numerator}, which
+    algebra.lincomb combines.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = [Q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ("den", "nums")
+
+    def __new__(cls, coeffs=()):
+        return cls._of(to_ints({e: Q(c) for e, c in enumerate(coeffs)}))
+
+    @classmethod
+    def _of(cls, image) -> "NPoly":
+        """The polynomial of an image in lowest terms."""
+        den, nums = image
+        out = object.__new__(cls)
+        out.den = den
+        out.nums = tuple(nums.get(e, 0) for e in range(max(nums, default=-1) + 1))
+        return out
 
     @staticmethod
     def const(c) -> "NPoly":
-        return NPoly((Q(c),))
+        return NPoly((c,))
 
     @staticmethod
     def linear(c0, c1) -> "NPoly":
         """c0 + c1*n."""
-        return NPoly((Q(c0), Q(c1)))
+        return NPoly((c0, c1))
+
+    @property
+    def image(self):
+        return self.den, {e: c for e, c in enumerate(self.nums) if c}
+
+    @property
+    def coeffs(self):
+        return tuple(Q(c, self.den) for c in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def __call__(self, n) -> Q:
-        acc = Q(0)
-        for c in reversed(self.coeffs):
+        acc = 0
+        for c in reversed(self.nums):
             acc = acc * n + c
-        return acc
+        return Q(acc, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, NPoly) and self.coeffs == other.coeffs
+        return isinstance(other, NPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return NPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return NPoly._of(lincomb([(1, self.image), (1, other.image)]))
 
     def __neg__(self):
-        return NPoly([-c for c in self.coeffs])
+        return NPoly._of(lincomb([(-1, self.image)]))
 
     def __sub__(self, other):
-        return self + (-other)
+        return NPoly._of(lincomb([(1, self.image), (-1, other.image)]))
 
     def __mul__(self, other):
         if isinstance(other, NPoly):
-            if not self.coeffs or not other.coeffs:
-                return NPoly()
-            out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return NPoly(out)
-        return NPoly([Q(other) * c for c in self.coeffs])
+            out = {}
+            for i, a in enumerate(self.nums):
+                for j, b in enumerate(other.nums):
+                    out[i + j] = out.get(i + j, 0) + a * b
+            out = {e: c for e, c in out.items() if c}
+            return NPoly._of(lincomb([(1, (1, out))], self.den * other.den))
+        other = Q(other)
+        return NPoly._of(lincomb([(other.numerator, self.image)], other.denominator))
 
     def __rmul__(self, other):
         return self * other
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
+        for e in range(len(self.nums) - 1, -1, -1):
+            c = Q(self.nums[e], self.den)
             if not c:
                 continue
             if e == 0:
@@ -177,8 +193,7 @@ def integer_roots(p: NPoly):
     """
     if p.is_zero():
         return ALL_INTEGERS
-    nums = to_ints(dict(enumerate(p.coeffs)))[1]
-    ints = [nums.get(i, 0) for i in range(len(p.coeffs))]
+    ints = p.nums
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     roots = set()
@@ -196,36 +211,46 @@ def integer_roots(p: NPoly):
     return sorted(roots)
 
 
+def _rho_image(word, a: Q, b: Q, F: Q) -> tuple:
+    """rho of a raw word of negative generators as an image {exponent: int},
+    not reduced: the integer product of its factors over the product of
+    their denominators."""
+    for g in word:
+        if not in_negative_part(g):
+            raise NotNegativePart("%s is not in the strictly negative part" % gen_str(g))
+    poly = [1]
+    den = 1
+    # d(-i) with a suffix of weight k gives -(a + k + i - i b) - n, over lcm(a, b) denominators
+    dd = math.lcm(a.denominator, b.denominator)
+    an, bn = a.numerator * (dd // a.denominator), b.numerator * (dd // b.denominator)
+    k = 0
+    for kind, neg in reversed(word):
+        i = -neg
+        if kind == "I":
+            poly = [-F.numerator * c for c in poly]
+            den *= F.denominator
+        else:
+            c0 = -(an + (k + i) * dd - i * bn)
+            poly = [c0 * hi - dd * lo for hi, lo in zip(poly + [0], [0] + poly)]
+            den *= dd
+        k += i
+    return den, {e: c for e, c in enumerate(poly) if c}
+
+
 def rho_word(word, params: ISParams) -> NPoly:
     """The defining recursion on a raw word of negative generators.
 
     Peeling d(-i) off the left with a suffix of degree k contributes the
     factor -(a + k + i + n - i b); peeling I(-i) contributes -F.
     """
-    for g in word:
-        if not in_negative_part(g):
-            raise NotNegativePart("%s is not in the strictly negative part" % gen_str(g))
-    poly = NPoly.const(1)
-    suffix_weight = [0] * (len(word) + 1)
-    for idx in range(len(word) - 1, -1, -1):
-        suffix_weight[idx] = suffix_weight[idx + 1] - gen_weight(word[idx])
-    for idx, g in enumerate(word):
-        kind, neg = g
-        i = -neg
-        if kind == "I":
-            poly = poly * (-params.F)
-        else:
-            k = suffix_weight[idx + 1]
-            poly = poly * NPoly.linear(-(params.a + k + i - i * params.b), -1)
-    return poly
+    return NPoly._of(lincomb([(1, _rho_image(word, params.a, params.b, params.F))]))
 
 
 def rho(P: UEAElement, params: ISParams) -> NPoly:
     """Linear extension of the recursion to normal-form elements."""
-    out = NPoly()
-    for mono, c in P.items():
-        out = out + c * rho_word(word_of(mono), params)
-    return out
+    den, nums = P.image
+    terms = [(c, _rho_image(word_of(mono), params.a, params.b, params.F)) for mono, c in nums.items()]
+    return NPoly._of(lincomb(terms, den))
 
 
 @dataclass(frozen=True)
@@ -354,12 +379,12 @@ def annihilator_cover(ann1, ann2, window: int) -> bool:
     for x in list(ann1) + list(ann2):
         if x.is_zero():
             continue
-        idx = [g[1] for g in x.coeffs if g[0] != "z"]
+        idx = [g[1] for g in x.image[1] if g[0] != "z"]
         if any(abs(i) > window for i in idx):
             continue
         if idx:
             margin = max(margin, max(idx) - min(idx))
-        span.insert(x.coeffs)
+        span.insert(x.image[1])
     targets = [g for g in cols if g[0] == "z" or abs(g[1]) <= window - margin]
     return not any(span.reduce({g: 1}) for g in targets)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, Q, LieElement, axpy, gen_str, to_fractions, to_ints
+from .algebra import Q, LieElement, gen_str, lincomb, to_ints
 from .errors import ExprError, IntegerOverflow
 from .pbw import LeftAction, UEAElement
 
@@ -227,22 +227,19 @@ def print_expr(e) -> str:
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def _lower(e, letter, times) -> dict:
-    """Flatten a tree into a map key -> coefficient: a generator g is the key
-    letter(g), the empty key is the unit, the factors of a product are
+def _lower(e, letter, times) -> tuple:
+    """Flatten a tree into an algebra image over keys: a generator g is the
+    key letter(g), the empty key is the unit, the factors of a product are
     folded in from the right by times(left, right), and a power is taken by
-    repeated squaring, which gives the same map because times is
+    repeated squaring, which gives the same image because times is
     associative."""
     if isinstance(e, Num):
-        return {(): e.value} if e.value else {}
+        return to_ints({(): e.value})
     if isinstance(e, Gen):
-        return {letter(e.g): ONE}
+        return 1, {letter(e.g): 1}
     if isinstance(e, Sum):
-        out = {}
-        for sign, term in e.terms:
-            axpy(out, Q(sign), _lower(term, letter, times))
-        return out
-    out = {(): ONE}
+        return lincomb([(sign, _lower(term, letter, times)) for sign, term in e.terms])
+    out = (1, {(): 1})
     if isinstance(e, Pow):
         base = _lower(e.base, letter, times)
         for bit in bin(e.exp)[2:]:
@@ -259,12 +256,7 @@ def _lower(e, letter, times) -> dict:
 
 def to_uea(e) -> UEAElement:
     """Lower a tree to the enveloping algebra (normal form)."""
-    kernel = LeftAction()
-
-    def times(a: dict, b: dict) -> dict:
-        return to_fractions(kernel.multiply(to_ints(a), to_ints(b)))
-
-    return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), times))
+    return UEAElement._trusted(_lower(e, lambda g: ((g, 1),), LeftAction().multiply))
 
 
 def _has_generator(e) -> bool:
@@ -286,20 +278,20 @@ def _has_generator(e) -> bool:
     return count == 1
 
 
-def _scale(a: dict, b: dict) -> dict:
-    """a * b when one factor is a constant (a map on the unit key alone)."""
-    if b.keys() <= {()}:
+def _scale(a: tuple, b: tuple) -> tuple:
+    """a * b when one factor is a constant (an image on the unit key alone)."""
+    if b[1].keys() <= {()}:
         a, b = b, a
-    return axpy({}, a.get((), 0), b)
+    return lincomb([(a[1].get((), 0), b)], a[0])
 
 
 def to_lie(e) -> LieElement:
     """Lower a tree to a Lie element; products of generators are rejected."""
     _has_generator(e)
     out = _lower(e, lambda g: g, _scale)
-    if () in out:
+    if () in out[1]:
         raise ExprError("constant terms have no Lie meaning")
-    return LieElement(out)
+    return LieElement._trusted(out)
 
 
 def parse_uea(text: str) -> UEAElement:

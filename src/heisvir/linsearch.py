@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .algebra import ONE, Q, I, d, lincomb, to_ints
+from .algebra import Q, I, d, lincomb, to_ints
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
 from .modules import (
     HWParams,
@@ -174,7 +174,7 @@ def nullspace(M: MatrixQ) -> list:
     reduced = {}
     for p in sorted(span.rows, reverse=True):
         reduced[p] = _eliminate(span.rows[p], reduced)
-    kernel = {fc: {fc: ONE} for fc in range(M.ncols) if fc not in reduced}
+    kernel = {fc: {fc: Q(1)} for fc in range(M.ncols) if fc not in reduced}
     for pc, row in reduced.items():
         for fc, v in row.items():
             if fc != pc:
@@ -235,9 +235,8 @@ def _verified_kernel(module, keys, conditions) -> list:
     for vec in nullspace(MatrixQ(rows.values(), len(keys))):
         free = scales[next(iter(vec))]
         mv = ModuleVector(module, {keys[j]: c * scales[j] / free for j, c in vec.items()})
-        image = to_ints(mv.coeffs)
         for gen, value in conditions:
-            if module.act_power(gen, 1, image) != lincomb([(value.numerator, image)], value.denominator):
+            if module.act_power(gen, 1, mv.image) != lincomb([(value.numerator, mv.image)], value.denominator):
                 raise AssertionError("kernel vector fails the defining conditions")
         vectors.append(mv)
     return vectors
@@ -259,10 +258,12 @@ def singular_vectors(hw: HWParams, degree: int) -> SearchResult:
 
 
 def _uea_of_vector(mv: ModuleVector) -> UEAElement:
-    """Read a Verma vector as the enveloping element applied to the cyclic vector."""
-    u = UEAElement(dict(mv.coeffs))
-    top = max(u.coeffs, key=mono_sort_key)
-    return (1 / u.coeffs[top]) * u
+    """Read a Verma vector as the enveloping element applied to the cyclic
+    vector, scaled to a unit coefficient at its top monomial."""
+    nums = mv.image[1]
+    top = nums[max(nums, key=mono_sort_key)]
+    # the den of the image cancels; the sign of top moves into the numerators
+    return UEAElement._trusted(lincomb([(1 if top > 0 else -1, (1, nums))], abs(top)))
 
 
 def maximal_submodule_gens(hw: HWParams, max_degree: int):
@@ -291,8 +292,8 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
                 # the span is that of the numerators: one image shares one denominator
                 span.insert(module.apply(mono, vec)[1])
         for mv in found:
-            if span.insert(mv.coeffs):
-                gens.append((_uea_of_vector(mv), degree, to_ints(mv.coeffs)))
+            if span.insert(mv.image[1]):
+                gens.append((_uea_of_vector(mv), degree, mv.image))
     status = _gens_status(hw, [(u, p) for u, p, _ in gens], max_degree)
     return [u for u, _, _ in gens], status
 
@@ -382,11 +383,11 @@ class MembershipTester:
     def contains_at(self, P: UEAElement, truncation: int) -> bool:
         """Membership at a fixed truncation depth (no stability check)."""
         self._extend(truncation)
-        return not self.span.reduce(P.coeffs, self.block_rank[truncation])
+        return not self.span.reduce(P.image[1], self.block_rank[truncation])
 
     def contains(self, P: UEAElement, buffer: int) -> bool:
         """Stability-checked membership; raises UnstableSpan on disagreement."""
-        degrees = {abs(mono_weight(m)) for m in P.coeffs}
+        degrees = {abs(mono_weight(m)) for m in P.image[1]}
         if len(degrees) != 1:
             raise ValueError("P must be weight-homogeneous and nonzero")
         depth = degrees.pop() + buffer
@@ -411,6 +412,6 @@ def shifted_membership(
     """
     if buffer < 0:
         raise ValueError("buffer must be >= 0")
-    if not all(in_negative_part(g) for mono in P.coeffs for g, _ in mono):
+    if not all(in_negative_part(g) for mono in P.image[1] for g, _ in mono):
         raise NotNegativePart("P must be supported on the strictly negative part")
     return MembershipTester(isp, n, hw).contains(P, buffer)

@@ -16,9 +16,9 @@ Every variant's act_gen returns an algebra image (an int map over one
 positive denominator, in lowest terms) and is memoized per instance, the
 induced modules through the pbw.LeftAction memo and the rest through
 _memoized, so callers keep no image tables of their own.  The closed forms
-may compute in Fractions and convert once on return; act, act_uea and
-module_axiom_check fold images in integers, and build Fractions only for
-the vectors they return.
+may compute in Fractions and convert once on return; act, act_uea,
+embedded_action and module_axiom_check fold images in integers, and their
+vectors hold the images as they are.
 
 All values are immutable after construction and actions are pure; the only
 mutable state is per-instance memo dicts of frozen results, so concurrent
@@ -45,7 +45,6 @@ from .algebra import (
     is_generator,
     lie,
     lincomb,
-    to_fractions,
     to_ints,
 )
 from .errors import (
@@ -205,9 +204,7 @@ class Module(Action):
 
     def vector(self, coeffs) -> "ModuleVector":
         """Build a vector from a key or a key -> coefficient map."""
-        if isinstance(coeffs, dict):
-            return ModuleVector(self, coeffs)
-        return ModuleVector(self, {coeffs: Q(1)})
+        return ModuleVector(self, coeffs if isinstance(coeffs, dict) else {coeffs: 1})
 
 
 class ModuleVector(SparseVector):
@@ -223,10 +220,14 @@ class ModuleVector(SparseVector):
         super().__init__(coeffs)
         self.module = module
 
-    def _new(self, coeffs):
-        out = self._trusted(coeffs)
-        out.module = self.module
+    @classmethod
+    def _trusted(cls, image, module):
+        out = super()._trusted(image)
+        out.module = module
         return out
+
+    def _new(self, image):
+        return self._trusted(image, self.module)
 
     def _check(self, other):
         if self.module is not other.module:
@@ -235,7 +236,7 @@ class ModuleVector(SparseVector):
     def __eq__(self, other):
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        return self.module is other.module and self.coeffs == other.coeffs
+        return self.module is other.module and self.image == other.image
 
     def key_order(self, key):
         return self.module.key_sort(key)
@@ -251,16 +252,13 @@ def _require_support(module: Module, g: Generator):
 
 def act(x, v: ModuleVector) -> ModuleVector:
     """Action of a LieElement (or a single generator) on a module vector."""
-    if is_generator(x):
-        x = lie(x)
     module = v.module
-    vec = to_ints(v.coeffs)
-    xden, xnums = to_ints(x.coeffs)
+    xden, xnums = (lie(x) if is_generator(x) else x).image
     terms = []
     for g, c in xnums.items():
         _require_support(module, g)
-        terms.append((c, module.act_power(g, 1, vec)))
-    return v._new(to_fractions(lincomb(terms, xden)))
+        terms.append((c, module.act_power(g, 1, v.image)))
+    return v._new(lincomb(terms, xden))
 
 
 def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
@@ -269,11 +267,11 @@ def act_uea(u: UEAElement, v: ModuleVector) -> ModuleVector:
     Every letter must act on the module, even where the vector is zero.
     """
     module = v.module
-    for mono in u.coeffs:
+    for mono in u.image[1]:
         # in the order the letters act, so the first that cannot is reported
         for g, _ in reversed(mono):
             _require_support(module, g)
-    return v._new(to_fractions(module.multiply(to_ints(u.coeffs), to_ints(v.coeffs))))
+    return v._new(module.multiply(u.image, v.image))
 
 
 def _nonnegative(n: int) -> int:
@@ -321,7 +319,7 @@ def module_axiom_check(module: Module, index_bound: int, window):
     gens = [g for g in basis_window(index_bound) if module.supports(g)]
     for x in gens:
         for y in gens:
-            for g in bracket_gens(x, y).coeffs:
+            for g in bracket_gens(x, y).image[1]:
                 _require_support(module, g)
 
     found = []
@@ -329,9 +327,9 @@ def module_axiom_check(module: Module, index_bound: int, window):
         for j in range(i, len(gens)):
             y = gens[j]
             # (position, a, b, [a, b] as an image) for the residual of (a, b); the diagonal has one
-            sides = [((i, j), x, y, to_ints(bracket_gens(x, y).coeffs))]
+            sides = [((i, j), x, y, bracket_gens(x, y).image)]
             if j > i:
-                sides.append(((j, i), y, x, to_ints(bracket_gens(y, x).coeffs)))
+                sides.append(((j, i), y, x, bracket_gens(y, x).image))
             for w, key in enumerate(window):
                 # a -> a(b v); x(x v) - x(x v) vanishes exactly, so the diagonal forms none
                 outer = {x: (1, {})}
@@ -343,7 +341,7 @@ def module_axiom_check(module: Module, index_bound: int, window):
                     terms += [(-bden, outer[a]), (bden, outer[b])]
                     residual = lincomb(terms, bden)
                     if residual[1]:
-                        found.append((position + (w,), (a, b, key, module.vector(to_fractions(residual)))))
+                        found.append((position + (w,), (a, b, key, ModuleVector._trusted(residual, module))))
     found.sort(key=lambda entry: entry[0])
     return [violation for _, violation in found]
 
@@ -698,11 +696,8 @@ def embedded_action(lam, x, v: ModuleVector) -> ModuleVector:
     wm = v.module
     if not isinstance(wm, WMuKappaModule):
         raise MixedModules("embedded_action expects a vector of the induced polynomial-subalgebra module")
-    if is_generator(x):
-        x = lie(x)
-    vec = to_ints(v.coeffs)
-    xden, xnums = to_ints(x.coeffs)
-    return v._new(to_fractions(lincomb([(c, _embedded_gen(wm, lam, g, vec)) for g, c in xnums.items()], xden)))
+    xden, xnums = (lie(x) if is_generator(x) else x).image
+    return v._new(lincomb([(c, _embedded_gen(wm, lam, g, v.image)) for g, c in xnums.items()], xden))
 
 
 class EmbeddedModule(Module):

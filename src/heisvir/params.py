@@ -35,7 +35,10 @@ def parse_rational(text: str) -> Q:
     text = text.strip()
     if not _RATIONAL.match(text):
         raise ParamError("not a rational literal: %r" % text)
-    return Q(text)
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ParamError("zero denominator: %r" % text) from None
 
 
 def parse_param_pairs(pairs) -> dict:
@@ -81,8 +84,12 @@ def parse_param_arg(arg: str) -> dict:
         return parse_param_pairs(pairs)
     if not os.path.exists(arg):
         raise ParamError("no such parameter file: %s" % arg)
-    with open(arg, "r", encoding="utf-8") as fh:
-        return parse_param_text(fh.read())
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParamError("cannot read parameter file %s: %s" % (arg, exc)) from None
+    return parse_param_text(text)
 
 
 def _get_int(params: dict, key: str) -> int:

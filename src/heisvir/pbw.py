@@ -16,14 +16,13 @@ monomial; an induced module is the same kernel with the generators of a
 subalgebra absorbed on the cyclic vector by a character; U acting on itself
 is the module induced from the zero subalgebra.  The kernel and the fold
 work in integers on algebra images (an int map over one denominator),
-combined by algebra.lincomb; normal_form and multiply convert once, to
-UEAElements with Fraction coefficients.
+combined by algebra.lincomb and bracketed through the shared table
+algebra.bracket_gens; UEAElements store those images as they are.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    ONE,
     Generator,
     SparseVector,
     bracket_gens,
@@ -31,7 +30,6 @@ from .algebra import (
     gen_str,
     gen_weight,
     lincomb,
-    to_fractions,
     to_ints,
     d,
     I,
@@ -101,7 +99,7 @@ class UEAElement(SparseVector):
 
 
 def uea(g: Generator) -> UEAElement:
-    return UEAElement({((g, 1),): ONE})
+    return UEAElement._trusted((1, {((g, 1),): 1}))
 
 
 class Action:
@@ -149,7 +147,6 @@ class LeftAction(Action):
 
     def __init__(self):
         self._memo = {}
-        self._brackets = {}  # (g, h) -> [g, h] as an image
 
     def in_subalgebra(self, g: Generator) -> bool:
         return False
@@ -191,10 +188,7 @@ class LeftAction(Action):
         # the number of distinct generators in mono, not its length
         head, e = mono[0]
         rest = mono[1:]
-        bracket = self._brackets.get((g, head))
-        if bracket is None:
-            bracket = self._brackets[(g, head)] = to_ints(bracket_gens(g, head).coeffs)
-        bden, bnums = bracket
+        bden, bnums = bracket_gens(g, head).image
         out = self.act_gen(g, rest)
         lower = rest
         for k in range(1, e + 1):
@@ -212,26 +206,17 @@ class LeftAction(Action):
 def straighten(words: dict) -> UEAElement:
     """Normal form of a combination of words (a map word -> coefficient)."""
     pairs = {tuple((g, 1) for g in word): c for word, c in words.items()}
-    return UEAElement._trusted(to_fractions(LeftAction().multiply(to_ints(pairs), (1, {UNIT: 1}))))
+    return UEAElement._trusted(LeftAction().multiply(to_ints(pairs), (1, {UNIT: 1})))
 
 
 def normal_form(word) -> UEAElement:
     """Straighten an arbitrary word to the normal PBW form."""
-    return straighten({tuple(word): ONE})
+    return straighten({tuple(word): 1})
 
 
 def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
     """Associative product of U, with the result in normal form."""
-    return UEAElement._trusted(to_fractions(LeftAction().multiply(to_ints(u.coeffs), to_ints(v.coeffs))))
-
-
-def grade(u: UEAElement):
-    """Decompose into ad(d0)-weight-homogeneous components (weight -> element)."""
-    buckets = {}
-    for m, c in u.items():
-        w = mono_weight(m)
-        buckets.setdefault(w, {})[m] = c
-    return {w: UEAElement._trusted(part) for w, part in buckets.items()}
+    return UEAElement._trusted(LeftAction().multiply(u.image, v.image))
 
 
 def in_negative_part(g: Generator) -> bool:

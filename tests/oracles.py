@@ -32,27 +32,68 @@
   each inner action (each inner bracket) wherever it occurs; the package
   computes each composite once per unordered pair (per rotation class).
   The module check acts through the Fraction fold above.
+- axpy and to_fractions: the accumulate loop of maps key -> Fraction and
+  the reader of an image as such a map, which the Fraction oracles share.
+- bracket_gens_by_fractions, bracket_by_fractions, jacobi_check_by_fractions
+  and sigma_hom_check_by_fractions: the original Lie layer, in Fractions.
+  The last three read the bracket table through bracket_gens, so a test
+  that patches it here and in heisvir.algebra skews both sides alike; the
+  package combines images in integers instead.
+- NPolyByFractions and rho_word_by_fractions: the original polynomial in n
+  with a tuple of Fraction coefficients, and the recursion that builds it
+  factor by factor; the package multiplies out in integers over one
+  denominator.
+- ad_weight, apply_sigma and grade: small helpers that only the tests use.
 """
 
 import math
 
 from heisvir.algebra import (
+    Z1,
+    Z2,
+    Z3,
     LieElement,
     Q,
-    axpy,
     basis_window,
     bracket,
     bracket_gens,
+    d,
     gen_order_key,
+    gen_weight,
+    I,
     is_generator,
     lie,
-    to_fractions,
+    sigma_gen,
+    to_ints,
 )
 from heisvir.criteria import ALL_INTEGERS
-from heisvir.errors import ExprError, LambdaZero
+from heisvir.errors import ExprError, LambdaZero, NotNegativePart
 from heisvir.expr import Gen, Num, Pow, Sum
 from heisvir.modules import Module, _require_support, act, gen_binom
-from heisvir.pbw import UEAElement, mono_of_sorted_word, word_of
+from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, word_of
+
+
+def axpy(out: dict, c, table) -> dict:
+    """out += c * table on sparse key -> coefficient maps; cancelled keys are dropped."""
+    for k, v in table.items():
+        old = out.get(k)
+        s = c * v if old is None else old + c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def to_fractions(image) -> dict:
+    """The map key -> Fraction that an image stands for."""
+    den, nums = image
+    return {k: Q(c, den) for k, c in nums.items()}
+
+
+def _like(v, coeffs: dict):
+    """A vector of v's space holding the map key -> Fraction coeffs."""
+    return v._new(to_ints(coeffs))
 
 
 def _find_inversion(word, strategy):
@@ -180,7 +221,7 @@ def act_uea_by_letters(u, v):
         for g in reversed(word_of(mono)):
             cur = act(g, cur)
         axpy(out, c, cur.coeffs)
-    return v._new(out)
+    return _like(v, out)
 
 
 def act_power_by_fractions(module, g, e, vec: dict) -> dict:
@@ -205,7 +246,7 @@ def act_by_fractions(x, v):
         _require_support(module, g)
         for key, cv in v.items():
             axpy(out, cg * cv, to_fractions(module.act_gen(g, key)))
-    return v._new(out)
+    return _like(v, out)
 
 
 def act_uea_by_fractions(u, v):
@@ -217,7 +258,7 @@ def act_uea_by_fractions(u, v):
             _require_support(v.module, g)
             vec = act_power_by_fractions(v.module, g, e, vec)
         axpy(out, c, vec)
-    return v._new(out)
+    return _like(v, out)
 
 
 def integer_roots_by_trial_division(p):
@@ -347,3 +388,176 @@ def jacobi_check_by_triples(index_bound: int):
                 if residual:
                     violations.append((x, y, z, residual))
     return violations
+
+
+def bracket_gens_by_fractions(x, y) -> dict:
+    """Lie bracket of two basis generators, as a map generator -> Fraction."""
+    kx, n = x
+    ky, m = y
+    if kx == "z" or ky == "z":
+        return {}
+    if kx == "I" and ky == "d":
+        return {g: -c for g, c in bracket_gens_by_fractions(y, x).items()}
+    out = {}
+    if kx == "d" and ky == "d":
+        if m != n:
+            out[d(n + m)] = Q(m - n)
+        if n == -m and n**3 != n:
+            out[Z1] = Q(n**3 - n, 12)
+    elif kx == "d":
+        if m != 0:
+            out[I(n + m)] = Q(m)
+        if n == -m and n * n + n:
+            out[Z2] = Q(n * n + n)
+    elif n == -m and n != 0:
+        out[Z3] = Q(n)
+    return out
+
+
+def bracket_by_fractions(x: LieElement, y: LieElement) -> LieElement:
+    """Bilinear extension of the bracket, accumulated in Fractions."""
+    out = {}
+    for gx, cx in x.items():
+        for gy, cy in y.items():
+            axpy(out, cx * cy, bracket_gens(gx, gy).coeffs)
+    return LieElement(out)
+
+
+def jacobi_check_by_fractions(index_bound: int):
+    """The Jacobi window of the package, one residual per rotation class, in Fractions."""
+    if index_bound < 1:
+        raise ValueError("index_bound must be >= 1")
+    gens = basis_window(index_bound)
+    found = []
+    for i, x in enumerate(gens):
+        into_x = [bracket_gens(z, x) for z in gens]
+        for j in range(i, len(gens)):
+            y = gens[j]
+            bxy = bracket_gens(x, y)
+            for k in range(i if j == i else i + 1, len(gens)):
+                z = gens[k]
+                out = {}
+                for u, inner in ((x, bracket_gens(y, z)), (y, into_x[k]), (z, bxy)):
+                    for g, c in inner.items():
+                        axpy(out, c, bracket_gens(u, g).coeffs)
+                if out:
+                    residual = LieElement(out)
+                    for position in {(i, j, k), (j, k, i), (k, i, j)}:
+                        found.append((position, residual))
+    found.sort(key=lambda entry: entry[0])
+    return [(gens[a], gens[b], gens[c], residual) for (a, b, c), residual in found]
+
+
+def apply_sigma(spec, x: LieElement) -> LieElement:
+    """Linear extension of sigma_{a,b} to arbitrary elements."""
+    out = {}
+    for g, c in x.items():
+        axpy(out, c, sigma_gen(spec, g).coeffs)
+    return LieElement(out)
+
+
+def sigma_hom_check_by_fractions(spec, index_bound: int):
+    """sigma([x,y]) = [sigma(x), sigma(y)] on the window, accumulated in Fractions."""
+    if index_bound < 1:
+        raise ValueError("index_bound must be >= 1")
+    gens = basis_window(index_bound)
+    images = {g: sigma_gen(spec, g) for g in gens}
+    violations = []
+    for x in gens:
+        for y in gens:
+            lhs = {}
+            for g, c in bracket_gens(x, y).items():
+                if g not in images:
+                    images[g] = sigma_gen(spec, g)
+                axpy(lhs, c, images[g].coeffs)
+            lhs = LieElement(lhs)
+            rhs = bracket_by_fractions(images[x], images[y])
+            if lhs != rhs:
+                violations.append((x, y, lhs - rhs))
+    return violations
+
+
+def ad_weight(x):
+    """ad(d0)-weight of a generator or a LieElement; None for inhomogeneous (or zero) elements."""
+    if is_generator(x):
+        return gen_weight(x)
+    weights = {gen_weight(g) for g in x.coeffs}
+    if len(weights) == 1:
+        return weights.pop()
+    return None
+
+
+def grade(u: UEAElement):
+    """Decompose into ad(d0)-weight-homogeneous components (weight -> element)."""
+    buckets = {}
+    for m, c in u.items():
+        buckets.setdefault(mono_weight(m), {})[m] = c
+    return {w: UEAElement(part) for w, part in buckets.items()}
+
+
+class NPolyByFractions:
+    """Univariate polynomial in n with a tuple of Fraction coefficients, constant first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Q(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def linear(c0, c1):
+        return NPolyByFractions((Q(c0), Q(c1)))
+
+    def __call__(self, n):
+        acc = Q(0)
+        for c in reversed(self.coeffs):
+            acc = acc * n + c
+        return acc
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return NPolyByFractions(
+            [
+                (self.coeffs[i] if i < len(self.coeffs) else 0)
+                + (other.coeffs[i] if i < len(other.coeffs) else 0)
+                for i in range(n)
+            ]
+        )
+
+    def __neg__(self):
+        return NPolyByFractions([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, NPolyByFractions):
+            if not self.coeffs or not other.coeffs:
+                return NPolyByFractions()
+            out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return NPolyByFractions(out)
+        return NPolyByFractions([Q(other) * c for c in self.coeffs])
+
+
+def rho_word_by_fractions(word, params) -> NPolyByFractions:
+    """The defining recursion on a raw word of negative generators, factor by factor."""
+    for g in word:
+        if not in_negative_part(g):
+            raise NotNegativePart("not in the strictly negative part")
+    poly = NPolyByFractions((1,))
+    suffix_weight = [0] * (len(word) + 1)
+    for idx in range(len(word) - 1, -1, -1):
+        suffix_weight[idx] = suffix_weight[idx + 1] - gen_weight(word[idx])
+    for idx, (kind, neg) in enumerate(word):
+        i = -neg
+        if kind == "I":
+            poly = poly * (-params.F)
+        else:
+            k = suffix_weight[idx + 1]
+            poly = poly * NPolyByFractions.linear(-(params.a + k + i - i * params.b), -1)
+    return poly

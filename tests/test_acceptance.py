@@ -24,7 +24,6 @@ from heisvir.algebra import (
     jacobi_check,
     lie_sum,
     sigma_hom_check,
-    to_fractions,
 )
 from heisvir.criteria import (
     NPoly,
@@ -59,7 +58,7 @@ from heisvir.modules import (
     phi_prime,
 )
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
-from oracles import example33_action, integer_roots_by_sympy
+from oracles import example33_action, integer_roots_by_sympy, to_fractions
 from test_golden import CASES, porcelain
 
 

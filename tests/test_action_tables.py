@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from heisvir.algebra import Q, basis_window, d, gen_str, I, Z1, to_fractions
+from heisvir.algebra import Q, basis_window, d, gen_str, I, Z1
 from heisvir.errors import UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
@@ -31,6 +31,7 @@ from heisvir.modules import (
     module_axiom_check,
     phi_prime,
 )
+from oracles import to_fractions
 
 TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "actions.json")
 

@@ -1,9 +1,12 @@
+import math
 import random
 
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from heisvir import algebra
 from heisvir.algebra import (
     AutomorphismSpec,
@@ -11,8 +14,6 @@ from heisvir.algebra import (
     Z1,
     Z2,
     Z3,
-    ad_weight,
-    apply_sigma,
     basis_window,
     bracket,
     bracket_gens,
@@ -23,7 +24,15 @@ from heisvir.algebra import (
     lie_sum,
     sigma_hom_check,
 )
-from oracles import jacobi_check_by_triples
+from oracles import (
+    ad_weight,
+    apply_sigma,
+    bracket_by_fractions,
+    bracket_gens_by_fractions,
+    jacobi_check_by_fractions,
+    jacobi_check_by_triples,
+    sigma_hom_check_by_fractions,
+)
 
 
 def test_bracket_dd_central():
@@ -151,3 +160,95 @@ def test_sigma_linear():
 def test_lie_element_equality_structural():
     assert lie_sum((1, d(1)), (-1, d(1))) == LieElement()
     assert lie_sum((Q(2, 4), d(1))) == lie_sum((Q(1, 2), d(1)))
+
+
+# generators past the windows too, and rationals with the denominators of the structure constants
+generators = st.one_of(
+    st.tuples(st.sampled_from("dI"), st.integers(-9, 9)),
+    st.sampled_from([Z1, Z2, Z3]),
+)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+elements = st.dictionaries(generators, rationals, max_size=5).map(LieElement)
+specs = st.builds(
+    AutomorphismSpec,
+    st.dictionaries(st.integers(-3, 3), rationals, max_size=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def _skew(strays):
+    """bracket_gens plus a stray generator in [x, y] for each (x, y) -> g of strays."""
+    original = algebra.bracket_gens
+
+    def skewed(x, y):
+        out = original(x, y)
+        return out + lie(strays[x, y]) if (x, y) in strays else out
+
+    return skewed
+
+
+def _patch_bracket(monkeypatch, strays):
+    """Skew the bracket table alike for the package and the Fraction oracles."""
+    skewed = _skew(strays)
+    monkeypatch.setattr(algebra, "bracket_gens", skewed)
+    monkeypatch.setattr(oracles, "bracket_gens", skewed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators, generators)
+def test_bracket_table_matches_fraction_oracle(x, y):
+    image = bracket_gens(x, y).image
+    assert bracket_gens(x, y).coeffs == bracket_gens_by_fractions(x, y)
+    # lowest terms over a denominator dividing 12
+    den, nums = image
+    assert 12 % den == 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, elements)
+def test_bracket_matches_fraction_oracle(x, y):
+    assert bracket(x, y) == bracket_by_fractions(x, y)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_jacobi_matches_fraction_oracle(bound):
+    assert jacobi_check(bound) == jacobi_check_by_fractions(bound) == []
+
+
+strays = st.dictionaries(
+    st.tuples(st.sampled_from(basis_window(1)), st.sampled_from(basis_window(1))),
+    st.sampled_from(basis_window(2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(strays)
+def test_jacobi_violations_match_fraction_oracle(strays):
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_bracket(patch, strays)
+        assert jacobi_check(1) == jacobi_check_by_fractions(1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs, st.integers(1, 2))
+def test_sigma_check_matches_fraction_oracle(spec, bound):
+    assert sigma_hom_check(spec, bound) == sigma_hom_check_by_fractions(spec, bound) == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(specs, strays)
+def test_sigma_violations_match_fraction_oracle(spec, strays):
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_bracket(patch, strays)
+        assert sigma_hom_check(spec, 1) == sigma_hom_check_by_fractions(spec, 1)
+
+
+def test_sigma_violation_on_skewed_bracket(monkeypatch):
+    # sigma moves I(0) by a z3 term, which a stray I(0) in [d(1), d(-1)] does not get on the right
+    _patch_bracket(monkeypatch, {(d(1), d(-1)): I(0)})
+    spec = AutomorphismSpec({}, 1)
+    found = sigma_hom_check(spec, 1)
+    assert found and found == sigma_hom_check_by_fractions(spec, 1)
+    assert (d(1), d(-1)) in [(x, y) for x, y, _ in found]

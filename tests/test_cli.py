@@ -86,6 +86,29 @@ def test_sigma_check(capsys):
     assert out.strip() == "OK 0 violations"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sigma-check", "--b", "1/0", "--bound", "1"], "error: zero denominator: '1/0'"),
+        (["sigma-check", "--a", "1=1/0", "--bound", "1"], "error: zero denominator: '1/0'"),
+        (["rho", "--params", "(a=1/0,b=0,F=0)", "d(-1)"], "error: zero denominator: '1/0'"),
+        (["sigma-check", "--a", "1=1,1=2", "--bound", "1"], "error: duplicate index: 1"),
+        (["sigma-check", "--a", "x=1", "--bound", "1"], "error: expected i=value with an integer i in 'x=1'"),
+        (["sigma-check", "--a", "1", "--bound", "1"], "error: expected i=value in '1'"),
+    ],
+)
+def test_bad_parameter_values_are_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
+def test_unreadable_parameter_file_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "rho", "--params", str(tmp_path), "d(-1)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read parameter file %s" % tmp_path) and len(err.splitlines()) == 1
+
+
 def test_tensor_simple_with_gens(capsys):
     code, out, _ = run(
         capsys,

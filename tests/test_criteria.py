@@ -1,3 +1,4 @@
+import math
 import random
 
 from fractions import Fraction as Q
@@ -23,8 +24,8 @@ from heisvir.criteria import (
 )
 from heisvir.errors import NotNegativePart
 from heisvir.modules import ISParams, WhittakerCharacter, phi_prime
-from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
-from oracles import integer_roots_by_sympy, integer_roots_by_trial_division
+from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea, word_of
+from oracles import NPolyByFractions, integer_roots_by_sympy, integer_roots_by_trial_division, rho_word_by_fractions
 
 GENERIC = ISParams(a=1, b=2, F=3)
 
@@ -284,3 +285,48 @@ def test_w_mu_kappa_examples():
 def test_w_mu_kappa_rejects_bad_data(r, mu, kappa, message):
     with pytest.raises(ValueError, match=message):
         w_mu_kappa_simple(r, mu, kappa)
+
+
+poly_coeffs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8), max_size=5)
+scalars = st.fractions(min_value=-4, max_value=4, max_denominator=5) | st.integers(-3, 3)
+
+
+def _stored_like_oracle(p, q):
+    """p (an NPoly) and q (the Fraction oracle) hold the same polynomial, and p
+    holds it in lowest terms with no trailing zero."""
+    assert p.coeffs == q.coeffs and all(type(c) is Q for c in p.coeffs)
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_coeffs, poly_coeffs, scalars, st.integers(-5, 5))
+def test_npoly_matches_fraction_oracle(a, b, c, n):
+    p, q = NPoly(a), NPoly(b)
+    fp, fq = NPolyByFractions(a), NPolyByFractions(b)
+    for got, want in ((p, fp), (p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq), (c * p, fp * c), (p * c, fp * c)):
+        _stored_like_oracle(got, want)
+        assert got(n) == want(n)
+    # structural equality agrees with equality of the coefficient tuples
+    assert (p == q) == (fp.coeffs == fq.coeffs)
+    assert p - p == NPoly() and hash(p + q) == hash(q + p)
+
+
+negative_words = st.lists(st.sampled_from([d(-j) for j in range(1, 5)] + [I(-j) for j in range(1, 5)]), max_size=6)
+is_params = st.builds(ISParams, *[st.fractions(min_value=-5, max_value=5, max_denominator=7)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(negative_words, is_params)
+def test_rho_word_matches_fraction_oracle(word, isp):
+    _stored_like_oracle(rho_word(tuple(word), isp), rho_word_by_fractions(tuple(word), isp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(negative_part_basis(3) + negative_part_basis(4)), st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4), is_params)
+def test_rho_matches_fraction_oracle(coeffs, isp):
+    P = UEAElement(coeffs)
+    expected = NPolyByFractions()
+    for mono, c in P.items():
+        expected = expected + rho_word_by_fractions(word_of(mono), isp) * c
+    _stored_like_oracle(rho(P, isp), expected)

@@ -21,12 +21,14 @@ from heisvir.expr import (
     to_lie,
     to_uea,
 )
+from heisvir import cli
 from heisvir.params import (
     hw_params,
     is_params,
     mu_kappa,
     parse_param_arg,
     parse_param_text,
+    parse_rational,
     whittaker_character,
 )
 from heisvir.pbw import normal_form, straighten
@@ -121,6 +123,24 @@ def test_parser_fuzz_only_expr_errors():
             parse(text)
         except ExprError:
             pass
+
+
+def test_parameter_parser_fuzz_only_param_errors(capsys):
+    # every input parses or raises ParamError, and the CLI turns each into exit 0 or 1
+    rng = random.Random(4321)
+    alphabet = "0123456789/-+=,() \tabFxyz."
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(1500)]
+    # the alphabet spells paths too: "." and "/" name directories
+    texts += [".", "/", "..", "1/0", "(a=1/0)", "1=1,1=2", "x=1", "-1=2"]
+    for text in texts:
+        for parser in (parse_rational, parse_param_arg, cli._parse_sigma_coeffs):
+            try:
+                parser(text)
+            except ParamError:
+                pass
+    for a, b in zip(texts[:300], reversed(texts[:300])):
+        assert cli.main(["sigma-check", "--a", a, "--b", b, "--bound", "1"]) in (0, 1)
+    capsys.readouterr()
 
 
 def test_to_uea_matches_normal_form():

@@ -14,14 +14,12 @@ from heisvir.algebra import (
     Z1,
     Z2,
     Z3,
-    axpy,
     basis_window,
     bracket,
     d,
     I,
     lie,
     lie_sum,
-    to_fractions,
     to_ints,
 )
 from heisvir.errors import MixedModules, NeedNonzeroZ3, LambdaZero, UnsupportedGenerator
@@ -47,6 +45,8 @@ from heisvir.expr import parse_uea
 from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, straighten, uea, word_of
 from oracles import (
     act_by_fractions,
+    axpy,
+    to_fractions,
     act_uea_by_fractions,
     act_uea_by_letters,
     example33_action,

@@ -11,7 +11,6 @@ from heisvir.modules import HWParams, VermaModule, act, act_uea
 from heisvir.pbw import (
     UEAElement,
     UNIT,
-    grade,
     mono_of_sorted_word,
     mono_sort_key,
     mono_str,
@@ -22,7 +21,7 @@ from heisvir.pbw import (
 )
 from hypothesis import given, settings, strategies as st
 
-from oracles import act_uea_by_letters, mono_sort_key_by_letters, rewrite_normal_form
+from oracles import act_uea_by_letters, grade, mono_sort_key_by_letters, rewrite_normal_form
 
 
 def partitions_count(n, cache={0: 1}):

@@ -1,5 +1,6 @@
 """Property tests of the sparse-vector core shared by LieElement, UEAElement and ModuleVector."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from heisvir.algebra import LieElement, basis_window, bracket, lie
 from heisvir.errors import MixedModules
-from heisvir.modules import HWParams, VermaModule, act
+from heisvir.modules import HWParams, ModuleVector, VermaModule, act
 from heisvir.pbw import UEAElement, multiply, negative_part_basis, normal_form, uea
 
 GENS = basis_window(2)
@@ -31,8 +32,17 @@ any_vectors = st.one_of(lie_elements, uea_elements, vectors)
 
 
 def well_formed(x):
-    """No stored zero, and every stored coefficient an exact Fraction."""
-    return all(type(c) is Fraction and c != 0 for c in x.coeffs.values())
+    """The stored image (den, nums) is in lowest terms: a positive int den,
+    int numerators with no stored zero, and gcd(den, *nums) == 1; the coeffs
+    view reads every coefficient as an exact nonzero Fraction."""
+    den, nums = x.image
+    return (
+        type(den) is int
+        and den > 0
+        and all(type(c) is int and c != 0 for c in nums.values())
+        and math.gcd(den, *nums.values()) == 1
+        and all(type(c) is Fraction and c != 0 for c in x.coeffs.values())
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,9 +57,12 @@ def test_arithmetic_laws_and_stored_coefficients(data):
         assert type(x) is type(u)
         assert well_formed(x)
     assert (u + v) - v == u
+    # equal vectors have equal images, so equal hashes (module vectors are unhashable)
+    if not isinstance(u, ModuleVector):
+        assert hash((u + v) - v) == hash(u)
     assert not (-u + u) and (-u + u).is_zero()
     assert not (0 * u)
-    # no coercion on the internal path may leave an int, which would make 1 / c a float
+    # the view builds Fractions: an int would make 1 / c a float
     for x in results:
         for c in x.coeffs.values():
             assert type(1 / c) is Fraction
