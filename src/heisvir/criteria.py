@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import Q, basis_window, gen_str, lincomb, to_ints
 from .errors import NotNegativePart
 from .linsearch import Echelon
-from .modules import ISParams, WhittakerCharacter, check_mu_kappa
+from .modules import ISParams, WhittakerCharacter, check_mu_kappa, phi_prime_value
 from .pbw import UEAElement, in_negative_part, word_of
 
 
@@ -302,39 +302,23 @@ def inconclusive(reason) -> SimplicityVerdict:
     return SimplicityVerdict("inconclusive", reason=reason)
 
 
-def whittaker_expressions(char: WhittakerCharacter):
-    """The two obstruction expressions of the nonzero-z3 Whittaker criterion."""
-    m = char.m
-    e1 = (
-        2 * char.d_val(2 * m) * char.z3
-        + char.i_val(m) ** 2
-        - 2 * (m + 1) * char.i_val(m) * char.z2
-    )
-    e2 = (
-        char.d_val(2 * m - 1) * char.z3
-        + char.i_val(m) * char.i_val(m - 1)
-        - (m + 1) * char.i_val(m) * char.z2
-    )
-    return e1, e2
-
-
 def whittaker_simplicity(char: WhittakerCharacter) -> SimplicityVerdict:
     """Simplicity of the universal Whittaker module for the given character.
 
-    For nonzero z3 the module is simple iff either obstruction expression is
-    nonzero; for z3 = 0 it is simple iff the top I-value is nonzero.
+    For nonzero z3 it is simple iff e1 = 2 z3 phi'(d(2m)) = 2 z3 phi(d(2m)) +
+    phi(I(m))^2 or e2 = z3 phi'(d(2m-1)) = z3 phi(d(2m-1)) + phi(I(m)) phi(I(m-1))
+    - [m = 1] 2 z2 phi(I(1)) is nonzero, each read at its own weight, so the
+    cost does not grow with m; for z3 = 0 iff the top I-value is nonzero.
     """
     if char.z3 != 0:
-        e1, e2 = whittaker_expressions(char)
+        e1 = 2 * char.z3 * phi_prime_value(char, 2 * char.m)
+        e2 = char.z3 * phi_prime_value(char, 2 * char.m - 1)
         if e1 != 0 or e2 != 0:
             return simple("obstructions (%s, %s)" % (e1, e2))
         return not_simple("both obstruction expressions vanish")
     if char.i_val(char.m) != 0:
         return simple("z3 = 0 and I(m)-value %s != 0" % char.i_val(char.m))
-    return not_simple(
-        "z3 = 0 and the I(m)-value vanishes; a proper Whittaker vector exists"
-        " (see the linear-search module)"
-    )
+    return not_simple("z3 = 0 and the I(m)-value vanishes; a proper Whittaker vector exists (see the linear-search module)")
 
 
 def tensor_simplicity(gens, params: ISParams, exclude_n0: bool = False) -> SimplicityVerdict:

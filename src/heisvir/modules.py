@@ -142,23 +142,42 @@ class WhittakerCharacter:
         return self.d_val(n)
 
 
-def phi_prime(char: WhittakerCharacter) -> WhittakerCharacter:
-    """Derived character: the Witt-side data split off from a Whittaker
-    character, an order-m character with values on d(m)..d(2m) and z1 only.
+def oscillator_charge(z2, z3) -> Q:
+    """The central charge 1 - 12 z2^2/z3 of the Sugawara construction; z1 acts by it on the Fock module."""
+    return 1 - 12 * Q(z2) ** 2 / Q(z3)
 
-    Requires a nonzero z3 value.
-    """
+
+def sugawara(k: int, z2, z3, indices) -> list:
+    """The Sugawara element S(k) = -(1/(2 z3)) sum_i :I(-i) I(i+k): + (k+1) (z2/z3) I(k),
+    its quadratic sum over i in indices, as (coefficient, word) terms with the
+    linear one last; a word lists generators in normal order, the larger index
+    on the right (applied first).  d(k) acts on the Fock module by S(k)."""
+    q = Q(-1, 2) / z3
+    terms = [(q, (("I", min(-i, i + k)), ("I", max(-i, i + k)))) for i in indices]
+    terms.append(((k + 1) * Q(z2) / z3, (("I", k),)))
+    return terms
+
+
+def phi_prime_value(char: WhittakerCharacter, k: int) -> Q:
+    """phi'(d(k)) = phi(d(k)) - S(k)(phi) for m <= k <= 2m.  A word of S(k) acts on
+    the cyclic vector by its I-values if its indices lie in 0..m and kills it
+    otherwise, so only the pairs with -m <= i <= m-k are read, and I(k) at k = m."""
     if char.z3 == 0:
         raise NeedNonzeroZ3("phi_prime needs a nonzero z3 value")
-    m = char.m
-    z1p = char.z1 - 1 + 12 * char.z2**2 / char.z3
-    d_vals = {}
-    for k in range(m, 2 * m + 1):
-        conv = sum(char.i_val(i) * char.i_val(k - i) for i in range(0, k + 1))
-        d_vals[k] = char.d_val(k) + (conv - 2 * (m + 1) * char.i_val(m) * char.z2) / (
-            2 * char.z3
-        )
-    return WhittakerCharacter(m, d_vals, z1=z1p)
+    value = char.d_val(k)
+    for c, word in sugawara(k, char.z2, char.z3, range(-char.m, char.m - k + 1)):
+        if all(n <= char.m for _, n in word):
+            value -= c * math.prod(char.i_val(n) for _, n in word)
+    return value
+
+
+def phi_prime(char: WhittakerCharacter) -> WhittakerCharacter:
+    """Derived character: the Witt-side data split off from a Whittaker character
+    (z3 != 0), an order-m character with values on d(m)..d(2m) and z1 only:
+    phi'(d(k)) = phi(d(k)) + (sum_{i=k-m..m} phi(I(i)) phi(I(k-i)) - 2 (k+1) z2 phi(I(k))) / (2 z3),
+    phi(I(k)) = 0 past m, and z1' = z1 - (1 - 12 z2^2/z3)."""
+    d_vals = {k: phi_prime_value(char, k) for k in range(char.m, 2 * char.m + 1)}
+    return WhittakerCharacter(char.m, d_vals, z1=char.z1 - oscillator_charge(char.z2, char.z3))
 
 
 def check_mu_kappa(r, mu, kappa):
@@ -479,8 +498,8 @@ class FockModule(MonomialModule):
     """Highest weight Heisenberg module extended by the quadratic action.
 
     Basis keys are monomials in I(-j), j >= 1, on the vacuum.  The z-family
-    acts by scalars (z1 by 1 - 12 z2^2/z3), I(n) by the Heisenberg rules and
-    d(k) by the normal-ordered quadratic sum plus the linear correction.
+    acts by scalars (z1 by oscillator_charge), I(n) by the Heisenberg rules
+    and d(k) by the Sugawara element.
 
     Truncation of the quadratic sum: on a vector of total I-degree N only the
     window i in [-N-|k|-1, N+|k|+1] can contribute, because outside it the
@@ -496,7 +515,7 @@ class FockModule(MonomialModule):
         self.z3 = Q(z3)
         if self.z3 == 0:
             raise NeedNonzeroZ3("the oscillator construction needs z3 != 0")
-        self.z1 = 1 - 12 * self.z2**2 / self.z3
+        self.z1 = oscillator_charge(self.z2, self.z3)
         self._memo = {}
 
     def _heis(self, n: int, key: Monomial):
@@ -508,15 +527,12 @@ class FockModule(MonomialModule):
             return {key: self.i0} if self.i0 else {}
         for idx, (g, e) in enumerate(key):
             if g == ("I", -n):
-                if e == 1:
-                    smaller = key[:idx] + key[idx + 1 :]
-                else:
-                    smaller = key[:idx] + ((g, e - 1),) + key[idx + 1 :]
+                smaller = key[:idx] + (((g, e - 1),) if e > 1 else ()) + key[idx + 1 :]
                 return {smaller: Q(e * n) * self.z3}
         return {}
 
     def d_action(self, k: int, key: Monomial, extra: int = 0):
-        """Action of d(k) through the truncated quadratic sum.
+        """Action of d(k) by the Sugawara element, its quadratic sum truncated.
 
         extra widens the summation window; the result must not depend on it
         (tested by doubling the window).
@@ -524,12 +540,10 @@ class FockModule(MonomialModule):
         n_deg = -mono_weight(key)
         bound = n_deg + abs(k) + 1 + extra
         start = (1, {key: 1})
-        pairs = [sorted((-i, i + k)) for i in range(-bound, bound + 1)]
-        quadratic = lincomb([(1, self.apply(((("I", a), 1), (("I", b), 1)), start)) for a, b in pairs])
-        # q times the quadratic sum plus r times I(k), over the product of their denominators
-        q, r = Q(-1, 2) / self.z3, (k + 1) * self.z2 / self.z3
-        terms = [(q.numerator * r.denominator, quadratic), (r.numerator * q.denominator, to_ints(self._heis(k, key)))]
-        return lincomb(terms, q.denominator * r.denominator)
+        terms = sugawara(k, self.z2, self.z3, range(-bound, bound + 1))
+        den = math.lcm(*[c.denominator for c, _ in terms])
+        folds = [(c.numerator * (den // c.denominator), self.apply([(g, 1) for g in word], start)) for c, word in terms]
+        return lincomb(folds, den)
 
     @_memoized
     def act_gen(self, g: Generator, key: Monomial):

@@ -43,10 +43,17 @@
   with a tuple of Fraction coefficients, and the recursion that builds it
   factor by factor; the package multiplies out in integers over one
   denominator.
+- whittaker_vectors_by_search: the Whittaker vectors of a character found
+  by a kernel search over low-degree keys of the universal Whittaker
+  module, with whittaker_locus (the closed form of the z3 != 0 degenerate
+  locus), whittaker_witness (the second Whittaker vector there) and
+  acts_by_character (direct action); the package decides simplicity from
+  the Sugawara element instead.
 - ad_weight, apply_sigma and grade: small helpers that only the tests use.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 from heisvir.algebra import (
     Z1,
@@ -69,7 +76,8 @@ from heisvir.algebra import (
 from heisvir.criteria import ALL_INTEGERS
 from heisvir.errors import ExprError, LambdaZero, NotNegativePart
 from heisvir.expr import Gen, Num, Pow, Sum
-from heisvir.modules import Module, _require_support, act, gen_binom
+from heisvir.linsearch import _verified_kernel
+from heisvir.modules import Module, WhittakerModule, _require_support, act, gen_binom
 from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, word_of
 
 
@@ -561,3 +569,40 @@ def rho_word_by_fractions(word, params) -> NPolyByFractions:
             k = suffix_weight[idx + 1]
             poly = poly * NPolyByFractions.linear(-(params.a + k + i - i * params.b), -1)
     return poly
+
+
+def whittaker_vectors_by_search(char) -> list:
+    """The kernel basis of the vectors of WhittakerModule(char) on which
+    d(m)..d(2m) and I(0)..I(m) act by the character, over the unit and every
+    monomial of degree <= 2 in d(j) (-2 <= j < m) and I(-1), I(-2), I(-3).
+
+    w is one of them, so a second one shows that the module is not simple.
+    """
+    m = char.m
+    gens = sorted([I(-3), I(-2), I(-1)] + [d(j) for j in range(-2, m)], key=gen_order_key)
+    keys = [mono_of_sorted_word(word) for deg in range(3) for word in combinations_with_replacement(gens, deg)]
+    conditions = [(g, char.value(g)) for g in [d(k) for k in range(m, 2 * m + 1)] + [I(k) for k in range(m + 1)]]
+    return _verified_kernel(WhittakerModule(char), keys, conditions)
+
+
+def whittaker_locus(m, i_vals, z2, z3) -> dict:
+    """The values of d(2m) and d(2m-1) that put a z3 != 0 character on the
+    degenerate locus, from its closed form: 2 z3 phi(d(2m)) + phi(I(m))^2 = 0
+    and z3 phi(d(2m-1)) + phi(I(m)) phi(I(m-1)) - [m = 1] 2 z2 phi(I(1)) = 0."""
+    im, im1 = Q(i_vals.get(m, 0)), Q(i_vals.get(m - 1, 0))
+    linear = 2 * z2 * im if m == 1 else 0
+    return {2 * m: -(im**2) / (2 * z3), 2 * m - 1: (linear - im * im1) / z3}
+
+
+def whittaker_witness(char):
+    """u = (d(m-1) + (phi(I(m))/z3) I(-1)) w in WhittakerModule(char)."""
+    w = WhittakerModule(char).cyclic()
+    return act(d(char.m - 1), w) + (char.i_val(char.m) / char.z3) * act(I(-1), w)
+
+
+def acts_by_character(v) -> bool:
+    """Whether d(m)..d(2m+2) and I(0)..I(m+2) act on v by the character of its
+    (Whittaker or (mu, kappa)) module, by direct action."""
+    char = v.module.character
+    gens = [d(k) for k in range(char.m, 2 * char.m + 3)] + [I(k) for k in range(char.m + 3)]
+    return all(act(g, v) == char.value(g) * v for g in gens)

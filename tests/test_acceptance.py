@@ -58,7 +58,15 @@ from heisvir.modules import (
     phi_prime,
 )
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea
-from oracles import example33_action, integer_roots_by_sympy, to_fractions
+from oracles import (
+    acts_by_character,
+    example33_action,
+    integer_roots_by_sympy,
+    to_fractions,
+    whittaker_locus,
+    whittaker_vectors_by_search,
+    whittaker_witness,
+)
 from test_golden import CASES, porcelain
 
 
@@ -403,20 +411,19 @@ def _whittaker_criteria():
             pair_nonzero = (pp.d_val(2 * m - 1), pp.d_val(2 * m)) != (0, 0)
             assert whittaker_simplicity(char).is_simple == pair_nonzero
             agree += 1
-        # constructed degenerate point: both obstruction expressions vanish
+        # constructed point on the degenerate locus: both obstruction expressions
+        # vanish, and the module has a second Whittaker vector u
         z3 = _rand_q_nonzero(rng)
-        z2 = _rand_q(rng)
-        im = _rand_q(rng)
-        ivals = {k: _rand_q(rng) for k in range(0, m)}
-        ivals[m] = im
-        im1 = ivals[m - 1]
+        z2 = _rand_q_nonzero(rng)
+        ivals = {k: _rand_q(rng) for k in range(0, m + 1)}
         dvals = {k: _rand_q(rng) for k in range(m, 2 * m + 1)}
-        dvals[2 * m] = (2 * (m + 1) * im * z2 - im**2) / (2 * z3)
-        dvals[2 * m - 1] = ((m + 1) * im * z2 - im * im1) / z3
+        dvals.update(whittaker_locus(m, ivals, z2, z3))
         char = WhittakerCharacter(m, dvals, ivals, z1=0, z2=z2, z3=z3)
         assert whittaker_simplicity(char).is_not_simple
         pp = phi_prime(char)
         assert (pp.d_val(2 * m - 1), pp.d_val(2 * m)) == (0, 0)
+        assert acts_by_character(whittaker_witness(char))
+        assert len(whittaker_vectors_by_search(char)) > 1
 
         # z3 = 0, top I-value zero: a verified proper vector exists
         ivals0 = {k: _rand_q(rng) for k in range(0, m)}
@@ -520,16 +527,16 @@ def test_criterion_12_triple_and_cover():
 
 
 _ALL = [
-    (1, "jacobi-identity", _jacobi, 10),
-    (2, "sigma-homomorphism", _sigma, 10),
-    (3, "oscillator-representation", _oscillator, 20),
+    (1, "jacobi-identity", _jacobi, 2),
+    (2, "sigma-homomorphism", _sigma, 2),
+    (3, "oscillator-representation", _oscillator, 5),
     (4, "vacuum-eigenvalue", _vacuum_eigenvalue, None),
     (5, "rho-well-defined", _rho_well_defined, None),
-    (6, "membership-vs-rho", _membership_oracle, 300),
+    (6, "membership-vs-rho", _membership_oracle, 5),
     (7, "singular-vectors", _singular_vectors, None),
     (8, "tensor-simplicity-recovery", _tensor_recovery, None),
     (9, "degenerate-point-recovery", _embedding_example_recovery, None),
-    (10, "whittaker-criteria", _whittaker_criteria, None),
+    (10, "whittaker-criteria", _whittaker_criteria, 2),
     (11, "module-axioms", _module_axioms, 3),
     (12, "triple-predicate-and-cover", _triple_and_cover, None),
 ]

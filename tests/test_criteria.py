@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 from fractions import Fraction as Q
 
@@ -19,13 +20,21 @@ from heisvir.criteria import (
     simple,
     tensor_simplicity,
     w_mu_kappa_simple,
-    whittaker_expressions,
     whittaker_simplicity,
 )
 from heisvir.errors import NotNegativePart
-from heisvir.modules import ISParams, WhittakerCharacter, phi_prime
+from heisvir.modules import ISParams, WMuKappaModule, WhittakerCharacter, act
 from heisvir.pbw import UEAElement, UNIT, negative_part_basis, normal_form, uea, word_of
-from oracles import NPolyByFractions, integer_roots_by_sympy, integer_roots_by_trial_division, rho_word_by_fractions
+from oracles import (
+    NPolyByFractions,
+    acts_by_character,
+    integer_roots_by_sympy,
+    integer_roots_by_trial_division,
+    rho_word_by_fractions,
+    whittaker_locus,
+    whittaker_vectors_by_search,
+    whittaker_witness,
+)
 
 GENERIC = ISParams(a=1, b=2, F=3)
 
@@ -150,9 +159,7 @@ def test_integer_roots_match_sympy_near_1e15(p):
 
 def test_whittaker_simplicity_z3_nonzero():
     char = WhittakerCharacter(1, {1: 0, 2: 0}, {0: 0, 1: 1}, z2=0, z3=1)
-    v = whittaker_simplicity(char)
-    assert v.is_simple
-    assert whittaker_expressions(char)[0] == 1
+    assert str(whittaker_simplicity(char)) == "SIMPLE (obstructions (1, 0))"
 
 
 def test_whittaker_simplicity_z3_zero():
@@ -160,24 +167,53 @@ def test_whittaker_simplicity_z3_zero():
     assert whittaker_simplicity(WhittakerCharacter(1, {}, {1: 0}, z3=0)).is_not_simple
 
 
-def test_whittaker_expressions_match_phi_prime():
-    # the two obstruction expressions are 2 z3 phi'(d_2m) and z3 phi'(d_2m-1)
-    rng = random.Random(23)
-    for _ in range(20):
-        m = rng.choice((1, 2))
-        z3 = rand_q(rng) or Q(1)
-        char = WhittakerCharacter(
-            m,
-            {k: rand_q(rng) for k in range(m, 2 * m + 1)},
-            {k: rand_q(rng) for k in range(0, m + 1)},
-            z1=rand_q(rng),
-            z2=rand_q(rng),
-            z3=z3,
-        )
-        pp = phi_prime(char)
-        e1, e2 = whittaker_expressions(char)
-        assert e1 == 2 * char.z3 * pp.d_val(2 * m)
-        assert e2 == char.z3 * pp.d_val(2 * m - 1)
+SMALL_Q = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.lists(SMALL_Q, min_size=6, max_size=6),
+    SMALL_Q.filter(bool),
+    SMALL_Q.filter(bool),
+    st.booleans(),
+)
+def test_whittaker_verdict_matches_search(m, values, z2, z3, on_locus):
+    # z3 != 0 and z2 != 0: the module is not simple iff it has a Whittaker vector besides w
+    d_vals = dict(zip(range(m, 2 * m + 1), values))
+    i_vals = dict(zip(range(m + 1), values[m + 1 :]))
+    if on_locus:
+        d_vals.update(whittaker_locus(m, i_vals, z2, z3))
+    char = WhittakerCharacter(m, d_vals, i_vals, z2=z2, z3=z3)
+    verdict = whittaker_simplicity(char)
+    assert verdict.is_not_simple == (len(whittaker_vectors_by_search(char)) > 1)
+    if on_locus:
+        assert verdict.is_not_simple
+        assert acts_by_character(whittaker_witness(char))
+
+
+def test_whittaker_simplicity_cost_does_not_grow_with_m():
+    m = 1000
+    char = WhittakerCharacter(
+        m, {k: Q(k, 7) for k in range(m, 2 * m + 1)}, {k: Q(k + 1, 3) for k in range(m + 1)}, z1=1, z2=2, z3=3
+    )
+    t0 = time.perf_counter()
+    whittaker_simplicity(char)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_w_mu_kappa_verdict_matches_direct_action():
+    # not simple iff d(r-1) v is a second Whittaker vector
+    rng = random.Random(31)
+    for trial in range(12):
+        r = 1 + trial % 2
+        mu = [rand_q(rng) for _ in range(r + 1)]
+        kappa = [rand_q(rng) for _ in range(r + 1)]
+        if trial % 4 < 2:
+            mu[r] = mu[r - 1] = kappa[r] = Q(0)
+        M = WMuKappaModule(r, mu, kappa)
+        witness = act(d(r - 1), M.cyclic())
+        assert w_mu_kappa_simple(r, mu, kappa).is_not_simple == acts_by_character(witness), (r, mu, kappa)
 
 
 def test_tensor_simplicity_examples():

@@ -29,6 +29,11 @@ CASES = {
     "readme_sigma_check": ["sigma-check", "--a=-2=2,-1=1", "--b", "3", "--bound", "4"],
     "readme_rho": ["rho", "--params", "(a=1/2,b=0,F=0)", "d(-1)"],
     "readme_whittaker_simple": ["whittaker-simple", "--params", "(m=1,phi.z3=0,phi.I1=0)"],
+    "readme_whittaker_degenerate": [
+        "whittaker-simple",
+        "--params",
+        "(m=1,phi.I0=1/2,phi.I1=3/4,phi.d1=1/16,phi.d2=-9/64,phi.z2=1/3,phi.z3=2)",
+    ],
     "readme_tensor_gens": ["tensor-simple", "--params", "(a=1,b=0,F=0)", "--gens", "d(-1)"],
     "readme_tensor_search": [
         "tensor-simple",

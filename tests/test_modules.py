@@ -198,6 +198,16 @@ def test_phi_prime_trivial_corrections():
     assert pp.z1 == char.z1 - 1
 
 
+def test_phi_prime_reads_i_values_in_window_only():
+    # the Sugawara words with an index past m kill the cyclic vector, so they are never read
+    char = WhittakerCharacter(3, {k: k for k in range(3, 7)}, {k: k + 1 for k in range(4)}, z2=2, z3=5)
+    read = []
+    i_val = char.i_val
+    char.i_val = lambda k: read.append(k) or i_val(k)
+    phi_prime(char)
+    assert read and all(0 <= k <= char.m for k in read)
+
+
 def test_phi_prime_requires_z3():
     with pytest.raises(NeedNonzeroZ3):
         phi_prime(WhittakerCharacter(1, {}, {}, z3=0))
@@ -452,11 +462,16 @@ class _StrayIseries(IntermediateSeriesModule):
 
 
 class _StrayFock(FockModule):
-    """The oscillator module with I(1) acting by an extra identity term."""
+    """The oscillator module with d(1) acting by an extra identity term.
+
+    The stray sits on d(1) because a scalar shift of I(1) leaves a
+    representation: d(k) acts by the Sugawara element of the module's own
+    I-action, read through act_gen.
+    """
 
     def act_gen(self, g, key):
         out = to_fractions(super().act_gen(g, key))
-        return to_ints(axpy(out, Q(1), {key: Q(1)}) if g == I(1) else out)
+        return to_ints(axpy(out, Q(1), {key: Q(1)}) if g == d(1) else out)
 
 
 @pytest.mark.parametrize(
