@@ -30,11 +30,40 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 Q = Fraction
+
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the small value classes: a subclass lists its fields in __slots__ and sets them in its __init__
+    with set_field.  Instances of one class with equal fields are equal and hash as the tuple of their fields;
+    assigning to a field raises AttributeError unless the subclass restores object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # __eq__ and __hash__ read the fields inline, as the dataclasses module writes them: faster than a getter
+        fields = cls.__match_args__ = cls.__slots__
+        mine, theirs = ("(%s)" % "".join("%s.%s, " % (who, f) for f in fields) for who in ("self", "other"))
+        same_class = "other.__class__ is self.__class__"
+        cls.__eq__ = eval("lambda self, other: %s == %s if %s else NotImplemented" % (mine, theirs, same_class))
+        cls.__hash__ = vars(cls).get("__hash__", eval("lambda self: hash(%s)" % mine))  # a class may set None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __setattr__(self, name, *value):  # no value: a deletion
+        raise AttributeError("cannot %s field %r" % ("assign to" if value else "delete", name))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
 
 Generator = tuple  # ('d', n) | ('I', n) | ('z', i)
 
@@ -364,22 +393,18 @@ def jacobi_check(index_bound: int):
     return [(gens[a], gens[b], gens[c], residual) for (a, b, c), residual in found]
 
 
-@dataclass(frozen=True)
-class AutomorphismSpec:
+class AutomorphismSpec(Record):
     """The automorphism family sigma_{a,b}.
 
     a_coeffs holds the finitely many Laurent coefficients a_i of the
     polynomial datum (map i -> a_i); b is a single rational.
     """
 
-    a_coeffs: dict = field(default_factory=dict)
-    b: Q = Q(0)
+    __slots__ = ("a_coeffs", "b")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "a_coeffs", {int(i): Q(c) for i, c in self.a_coeffs.items() if Q(c)}
-        )
-        object.__setattr__(self, "b", Q(self.b))
+    def __init__(self, a_coeffs=None, b=Q(0)):
+        set_field(self, "a_coeffs", {int(i): Q(c) for i, c in (a_coeffs or {}).items() if Q(c)})
+        set_field(self, "b", Q(b))
 
     def a(self, i: int) -> Q:
         return self.a_coeffs.get(i, Q(0))

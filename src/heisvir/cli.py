@@ -15,45 +15,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import criteria, linsearch, params as paramsmod
-from .algebra import AutomorphismSpec, bracket, jacobi_check, sigma_hom_check
-from .errors import (
-    ExprError,
-    HeisvirError,
-    LambdaZero,
-    MixedModules,
-    NeedNonzeroZ3,
-    NotNegativePart,
-    ParamError,
-    PreconditionZ3,
-    UnstableSpan,
-    UnsupportedGenerator,
-)
-from .expr import parse_lie, parse_uea
-from .modules import (
-    EmbeddedModule,
-    FockModule,
-    IntermediateSeriesModule,
-    OmegaModule,
-    ShiftedTensorModule,
-    VermaModule,
-    WhittakerModule,
-    WMuKappaModule,
-    act_uea,
-    module_axiom_check,
-)
+from . import errors
 
 USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
 TRUNCATED_ERROR = 3
 
 _PRECONDITION_ERRORS = (
-    NeedNonzeroZ3,
-    PreconditionZ3,
-    LambdaZero,
-    NotNegativePart,
-    MixedModules,
-    UnsupportedGenerator,
+    errors.NeedNonzeroZ3,
+    errors.PreconditionZ3,
+    errors.LambdaZero,
+    errors.NotNegativePart,
+    errors.MixedModules,
+    errors.UnsupportedGenerator,
 )
 
 
@@ -67,36 +41,41 @@ class _Out:
         else:
             print(human if human is not None else "%s: %s" % (key, value))
 
-    def verdict(self, v: criteria.SimplicityVerdict):
+    def verdict(self, v):
         self.line("verdict", v.label, human=str(v))
 
+    def violations(self, found, ok="OK 0 violations"):
+        self.line("violations", len(found), human=ok if not found else "%d violations" % len(found))
 
-def _embedded(p: dict, hw) -> EmbeddedModule:
-    r, mu, kappa = paramsmod.mu_kappa(p)
+
+def _embedded(m, P, p: dict, hw):
+    r, mu, kappa = P.mu_kappa(p)
     if r != 1:
-        raise ParamError("the embedded variant supports r = 1")
-    return EmbeddedModule(mu, kappa, paramsmod.lam(p))
+        raise errors.ParamError("the embedded variant supports r = 1")
+    return m.EmbeddedModule(mu, kappa, P.lam(p))
 
 
-# variant name -> constructor from the --params map and the highest weight data read from it
+# --module variant -> constructor from the modules and params submodules, the --params map and its highest weight
 _MODULES = {
-    VermaModule.name: lambda p, hw: VermaModule(hw),
-    IntermediateSeriesModule.name: lambda p, hw: IntermediateSeriesModule(paramsmod.is_params(p)),
-    FockModule.name: lambda p, hw: FockModule(hw.i0, hw.z2, hw.z3),
-    WhittakerModule.name: lambda p, hw: WhittakerModule(paramsmod.whittaker_character(p)),
-    ShiftedTensorModule.name: lambda p, hw: ShiftedTensorModule(hw, paramsmod.is_params(p)),
-    OmegaModule.name: lambda p, hw: OmegaModule(paramsmod.lam(p), hw.d0, hw.i0),
-    EmbeddedModule.name: _embedded,
-    WMuKappaModule.name: lambda p, hw: WMuKappaModule(*paramsmod.mu_kappa(p)),
+    "verma": lambda m, P, p, hw: m.VermaModule(hw),
+    "iseries": lambda m, P, p, hw: m.IntermediateSeriesModule(P.is_params(p)),
+    "fock": lambda m, P, p, hw: m.FockModule(hw.i0, hw.z2, hw.z3),
+    "whittaker": lambda m, P, p, hw: m.WhittakerModule(P.whittaker_character(p)),
+    "shifted": lambda m, P, p, hw: m.ShiftedTensorModule(hw, P.is_params(p)),
+    "omega": lambda m, P, p, hw: m.OmegaModule(P.lam(p), hw.d0, hw.i0),
+    "embedded": _embedded,
+    "wmukappa": lambda m, P, p, hw: m.WMuKappaModule(*P.mu_kappa(p)),
 }
 
 
 def _build_module(variant: str, p: dict):
-    return _MODULES[variant](p, paramsmod.hw_params(p))
+    from . import modules, params
+    return _MODULES[variant](modules, params, p, params.hw_params(p))
 
 
 def _parse_sigma_coeffs(text: str) -> dict:
     """The Laurent coefficients of --a: comma-separated i=value pairs, each index once."""
+    from . import params as paramsmod
     coeffs = {}
     text = text.strip()
     if not text or text == "0":
@@ -104,45 +83,52 @@ def _parse_sigma_coeffs(text: str) -> dict:
     for item in text.split(","):
         idx, eq, val = item.partition("=")
         if not eq:
-            raise ParamError("expected i=value in %r" % item)
+            raise errors.ParamError("expected i=value in %r" % item)
         try:
             i = int(idx)
         except ValueError:
-            raise ParamError("expected i=value with an integer i in %r" % item) from None
+            raise errors.ParamError("expected i=value with an integer i in %r" % item) from None
         if i in coeffs:
-            raise ParamError("duplicate index: %d" % i)
+            raise errors.ParamError("duplicate index: %d" % i)
         coeffs[i] = paramsmod.parse_rational(val)
     return coeffs
 
 
 def _cmd_bracket(args, out):
+    from .algebra import bracket
+    from .expr import parse_lie
     result = bracket(parse_lie(args.x), parse_lie(args.y))
     out.line("result", result, human=str(result))
     return 0
 
 
 def _cmd_normalize(args, out):
+    from .expr import parse_uea
     u = parse_uea(args.expr)
     out.line("result", u, human=str(u))
     return 0
 
 
 def _cmd_jacobi(args, out):
+    from .algebra import jacobi_check
     violations = jacobi_check(args.bound)
-    out.line("violations", len(violations), human="OK 0 violations" if not violations else "%d violations" % len(violations))
+    out.violations(violations)
     for x, y, z, res in violations:
         out.line("violation", "%s %s %s -> %s" % (x, y, z, res))
     return 0
 
 
 def _cmd_sigma_check(args, out):
+    from . import params as paramsmod
+    from .algebra import AutomorphismSpec, sigma_hom_check
     spec = AutomorphismSpec(_parse_sigma_coeffs(args.a), paramsmod.parse_rational(args.b))
-    violations = sigma_hom_check(spec, args.bound)
-    out.line("violations", len(violations), human="OK 0 violations" if not violations else "%d violations" % len(violations))
+    out.violations(sigma_hom_check(spec, args.bound))
     return 0
 
 
 def _cmd_rho(args, out):
+    from . import criteria, params as paramsmod
+    from .expr import parse_uea
     p = paramsmod.parse_param_arg(args.params)
     poly = criteria.rho(parse_uea(args.expr), paramsmod.is_params(p))
     out.line("rho", poly, human=str(poly))
@@ -150,11 +136,13 @@ def _cmd_rho(args, out):
 
 
 def _cmd_whittaker_simple(args, out):
+    from . import criteria, params as paramsmod
     p = paramsmod.parse_param_arg(args.params)
     char = paramsmod.whittaker_character(p)
     verdict = criteria.whittaker_simplicity(char)
     out.verdict(verdict)
     if verdict.is_not_simple and char.z3 == 0 and not out.porcelain:
+        from . import linsearch
         found = linsearch.whittaker_vector_search(char)
         for v in found.vectors:
             print("witness vector: %s" % v)
@@ -162,13 +150,15 @@ def _cmd_whittaker_simple(args, out):
 
 
 def _cmd_tensor_simple(args, out):
+    from . import criteria, params as paramsmod
     p = paramsmod.parse_param_arg(args.params)
     isp = paramsmod.is_params(p)
     if args.gens:
+        from .expr import parse_uea
         gens = [parse_uea(g) for g in args.gens.split(";") if g.strip()]
-        verdict = criteria.tensor_simplicity(gens, isp, exclude_n0=args.exclude_n0)
-        out.verdict(verdict)
+        out.verdict(criteria.tensor_simplicity(gens, isp, exclude_n0=args.exclude_n0))
         return 0
+    from . import linsearch
     hw = paramsmod.hw_params(p)
     gens, status = linsearch.maximal_submodule_gens(hw, args.search_degree)
     out.line("search_status", status)
@@ -186,6 +176,7 @@ def _cmd_tensor_simple(args, out):
 
 
 def _cmd_singular(args, out):
+    from . import linsearch, params as paramsmod
     p = paramsmod.parse_param_arg(args.params)
     hw = paramsmod.hw_params(p)
     result = linsearch.singular_vectors(hw, args.degree)
@@ -196,6 +187,7 @@ def _cmd_singular(args, out):
 
 
 def _cmd_whittaker_vector(args, out):
+    from . import linsearch, params as paramsmod
     p = paramsmod.parse_param_arg(args.params)
     char = paramsmod.whittaker_character(p)
     result = linsearch.whittaker_vector_search(char)
@@ -208,12 +200,14 @@ def _cmd_whittaker_vector(args, out):
 
 
 def _cmd_membership(args, out):
+    from . import linsearch, params as paramsmod
+    from .expr import parse_uea
     p = paramsmod.parse_param_arg(args.params)
     isp = paramsmod.is_params(p)
     P = parse_uea(args.expr)
     try:
         member = linsearch.shifted_membership(P, args.n, args.buffer, isp)
-    except UnstableSpan as exc:
+    except errors.UnstableSpan as exc:
         out.line("member", "unstable", human="UNSTABLE: %s" % exc)
         return TRUNCATED_ERROR if args.strict else 0
     out.line("member", "true" if member else "false", human="true" if member else "false")
@@ -221,21 +215,19 @@ def _cmd_membership(args, out):
 
 
 def _cmd_module_check(args, out):
+    from . import params as paramsmod
+    from .modules import module_axiom_check
     p = paramsmod.parse_param_arg(args.params)
     module = _build_module(args.module, p)
     window = module.window(args.window)
-    violations = module_axiom_check(module, args.bound, window)
-    out.line(
-        "violations",
-        len(violations),
-        human="OK 0 violations (window of %d keys)" % len(window)
-        if not violations
-        else "%d violations" % len(violations),
-    )
+    out.violations(module_axiom_check(module, args.bound, window), "OK 0 violations (window of %d keys)" % len(window))
     return 0
 
 
 def _cmd_act(args, out):
+    from . import params as paramsmod
+    from .expr import parse_uea
+    from .modules import act_uea
     p = paramsmod.parse_param_arg(args.params)
     module = _build_module(args.module, p)
     vec = module.parse_key(args.vector)
@@ -331,16 +323,13 @@ def main(argv=None) -> int:
     out = _Out(args.porcelain)
     try:
         return args.func(args, out)
-    except (ExprError, ParamError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
     except _PRECONDITION_ERRORS as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return PRECONDITION_ERROR
-    except UnstableSpan as exc:
+    except errors.UnstableSpan as exc:
         print("unstable: %s" % exc, file=sys.stderr)
         return TRUNCATED_ERROR
-    except HeisvirError as exc:
+    except (errors.HeisvirError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

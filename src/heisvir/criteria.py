@@ -10,11 +10,9 @@ format that NPoly stores and integer_roots reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import Q, basis_window, gen_str, lincomb, to_ints
+from .algebra import Q, Record, basis_window, gen_str, lincomb, set_field, to_ints
 from .errors import NotNegativePart
-from .linsearch import Echelon
 from .modules import ISParams, WhittakerCharacter, check_mu_kappa, phi_prime_value
 from .pbw import UEAElement, in_negative_part, word_of
 
@@ -253,14 +251,16 @@ def rho(P: UEAElement, params: ISParams) -> NPoly:
     return NPoly._of(lincomb(terms, den))
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(Record):
     """Uniform result type: simple, not simple (with witness), or inconclusive."""
 
-    kind: str  # "simple" | "not_simple" | "inconclusive"
-    witness_n: int | None = None
-    witness: str | None = None
-    reason: str | None = None
+    __slots__ = ("kind", "witness_n", "witness", "reason")
+
+    def __init__(self, kind, witness_n=None, witness=None, reason=None):
+        set_field(self, "kind", kind)  # "simple" | "not_simple" | "inconclusive"
+        set_field(self, "witness_n", witness_n)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
 
     @property
     def is_simple(self):
@@ -355,6 +355,7 @@ def annihilator_cover(ann1, ann2, window: int) -> bool:
     where margin is the largest index spread of any listed element.  This is
     a sufficient desk-scale check, not the infinite statement.
     """
+    from .linsearch import Echelon  # deferred: the verdicts never load linsearch
     if window < 1:
         raise ValueError("window must be >= 1")
     cols = basis_window(window)

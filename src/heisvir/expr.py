@@ -20,40 +20,47 @@ only (no decimals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .algebra import Q, LieElement, gen_str, lincomb, to_ints
+from .algebra import Q, LieElement, Record, gen_str, lincomb, set_field, to_ints
 from .errors import ExprError, IntegerOverflow
 from .pbw import LeftAction, UEAElement
 
 MAX_INDEX = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)  # a Fraction
+
+    def __init__(self, value):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Gen:
-    g: tuple
+class Gen(Record):
+    __slots__ = ("g",)  # a generator tuple
+
+    def __init__(self, g):
+        set_field(self, "g", g)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class Pow(Record):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base, exp):
+        set_field(self, "base", base)
+        set_field(self, "exp", exp)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Prod(Record):
+    __slots__ = ("factors",)  # a tuple of trees
+
+    def __init__(self, factors):
+        set_field(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # ((sign, term), ...) with sign +1 / -1
+class Sum(Record):
+    __slots__ = ("terms",)  # ((sign, term), ...) with sign +1 / -1
+
+    def __init__(self, terms):
+        set_field(self, "terms", terms)
 
 
 class _Lexer:

@@ -12,11 +12,10 @@ Whittaker-vector linear system and the brute-force shifted-membership oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .algebra import Q, I, d, lincomb, to_ints
+from .algebra import Q, I, Record, d, lincomb, to_ints
 from .errors import NotNegativePart, PreconditionZ3, UnstableSpan
 from .modules import (
     HWParams,
@@ -185,14 +184,17 @@ def nullspace(M: MatrixQ) -> list:
     return list(kernel.values())
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record):
     """Vectors found by a search; the Whittaker search also reports the size
     of its linear system."""
 
-    vectors: list
-    num_variables: int | None = None
-    rank: int | None = None
+    __slots__ = ("vectors", "num_variables", "rank")
+    __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__  # mutable
+
+    def __init__(self, vectors, num_variables=None, rank=None):
+        self.vectors = vectors
+        self.num_variables = num_variables
+        self.rank = rank
 
 
 def weight_basis(degree: int):
@@ -275,7 +277,10 @@ def maximal_submodule_gens(hw: HWParams, max_degree: int):
     window: either two generators were reached (never more exist when the
     central character is not identically degenerate), or one of the closed
     criteria for z3 = 0 applies.  Otherwise the status is "truncated": the
-    bounded search cannot exclude generators beyond the window.
+    bounded search cannot exclude generators beyond the window.  At the
+    identically degenerate character (i0 = z2 = z3 = 0) it means more: the
+    maximal submodule there needs subsingular generators, which this search
+    for singular vectors cannot find at any depth.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")

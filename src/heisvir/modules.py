@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .algebra import (
     Q,
     Generator,
+    Record,
     SparseVector,
     basis_window,
     bracket_gens,
@@ -45,6 +45,7 @@ from .algebra import (
     is_generator,
     lie,
     lincomb,
+    set_field,
     to_ints,
 )
 from .errors import (
@@ -53,7 +54,6 @@ from .errors import (
     NeedNonzeroZ3,
     UnsupportedGenerator,
 )
-from .expr import parse_uea
 from .pbw import (
     Action,
     LeftAction,
@@ -70,32 +70,28 @@ from .pbw import (
 )
 
 
-@dataclass(frozen=True)
-class HWParams:
+class HWParams(Record):
     """Highest weight data (I0, d0, z1, z2, z3 scalars)."""
 
-    i0: Q = Q(0)
-    d0: Q = Q(0)
-    z1: Q = Q(0)
-    z2: Q = Q(0)
-    z3: Q = Q(0)
+    __slots__ = ("i0", "d0", "z1", "z2", "z3")
 
-    def __post_init__(self):
-        for name in ("i0", "d0", "z1", "z2", "z3"):
-            object.__setattr__(self, name, Q(getattr(self, name)))
+    def __init__(self, i0=Q(0), d0=Q(0), z1=Q(0), z2=Q(0), z3=Q(0)):
+        set_field(self, "i0", Q(i0))
+        set_field(self, "d0", Q(d0))
+        set_field(self, "z1", Q(z1))
+        set_field(self, "z2", Q(z2))
+        set_field(self, "z3", Q(z3))
 
 
-@dataclass(frozen=True)
-class ISParams:
+class ISParams(Record):
     """Intermediate-series data (a, b, F)."""
 
-    a: Q = Q(0)
-    b: Q = Q(0)
-    F: Q = Q(0)
+    __slots__ = ("a", "b", "F")
 
-    def __post_init__(self):
-        for name in ("a", "b", "F"):
-            object.__setattr__(self, name, Q(getattr(self, name)))
+    def __init__(self, a=Q(0), b=Q(0), F=Q(0)):
+        set_field(self, "a", Q(a))
+        set_field(self, "b", Q(b))
+        set_field(self, "F", Q(F))
 
 
 class WhittakerCharacter:
@@ -384,6 +380,7 @@ class MonomialModule(Module):
 
     def parse_key(self, text):
         """A monomial expression acting on the cyclic vector; 1, w or v name it."""
+        from .expr import parse_uea  # deferred: only parse_key reads expressions
         text = text.strip()
         return self.cyclic() if text in ("1", "w", "v") else act_uea(parse_uea(text), self.cyclic())
 
@@ -623,6 +620,7 @@ class ShiftedTensorModule(Module):
 
     def parse_key(self, text):
         """WORD@Y: the word acting on w (x) y^Y."""
+        from .expr import parse_uea  # deferred: only parse_key reads expressions
         head, _, tail = text.partition("@")
         tail = tail.strip()
         base = self.vector((UNIT, int(tail[2:] if tail.startswith("y^") else tail)))

@@ -268,13 +268,14 @@ def test_porcelain_byte_stability_across_processes():
 
 
 def test_membership_unstable_exit_codes(capsys, monkeypatch):
-    import heisvir.cli as cli
+    import heisvir.linsearch
     from heisvir.errors import UnstableSpan
 
     def boom(*args, **kwargs):
         raise UnstableSpan("verdict changed between depth 3 and 4")
 
-    monkeypatch.setattr(cli.linsearch, "shifted_membership", boom)
+    # the membership command imports linsearch when it runs, so it sees the patch
+    monkeypatch.setattr(heisvir.linsearch, "shifted_membership", boom)
     argv = ["membership", "--params", "(a=1,b=0,F=0)", "--n", "0", "--buffer", "1", "d(-1)"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "UNSTABLE" in out
@@ -298,6 +299,13 @@ def _variant(case):
 def _case_module(case):
     variant, params = _variant(case)
     return cli._build_module(variant, parse_param_arg(params))
+
+
+def test_each_variant_builds_the_class_of_its_name():
+    # cli writes the --module names itself, so that listing them imports no module class
+    assert sorted(_variant(case)[0] for case in ACT_CASES) == sorted(cli._MODULES)
+    for case in ACT_CASES:
+        assert type(_case_module(case)).name == _variant(case)[0]
 
 
 @pytest.mark.parametrize("case", ACT_CASES)

@@ -2,7 +2,10 @@
 
 Each case runs `heisvir ... --porcelain` in-process and compares standard
 output with `tests/golden/<name>.out`, and runs it again without
-`--porcelain` and compares with `tests/golden/<name>.human`.  The cases are the README CLI
+`--porcelain` and compares with `tests/golden/<name>.human`.  The README
+cases also run as fresh `python -m heisvir.cli` processes: in one process
+the first case loads what the later ones import, so an import cycle or a
+missing import inside a subcommand shows only in a process of its own.  The cases are the README CLI
 examples, one `act` per module variant with that variant's README key form,
 two normal forms with a constant term and two tensor verdicts at large a.
 
@@ -14,12 +17,16 @@ Re-record (only when an output is meant to change):
 import contextlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
 from heisvir.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PROCESS_LIMIT_S = 10  # wall time of one fresh CLI process
 
 CASES = {
     # README examples
@@ -135,6 +142,19 @@ def test_golden_human(name):
     code, out = run(CASES[name], porcelain_mode=False)
     assert code == 0
     assert out == _golden(name, ".human")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("readme_")))
+def test_golden_porcelain_fresh_process(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heisvir.cli", *CASES[name], "--porcelain"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=PROCESS_LIMIT_S,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    with open(os.path.join(GOLDEN, name + ".out"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 if __name__ == "__main__":
