@@ -1,9 +1,9 @@
 """Pinned generator actions of the modules that are built from other modules.
 
 tests/golden/actions.json holds, for fixed parameters of the whittaker,
-w_mu_kappa, shifted and embedded variants, the image act_gen(g, key) of every
-key of window(2) under every supported generator of basis_window(2), as a map
-key_str -> key_str -> coefficient, and the derived character phi_prime of two
+w_mu_kappa, shifted, embedded and fock variants, the image act_gen(g, key)
+of every key of window(2) under every supported generator of
+basis_window(2), as a map key_str -> key_str -> coefficient, and the derived character phi_prime of two
 Whittaker characters.  Refactors of these modules must leave every entry as
 it is, also after module_axiom_check has read them through the act_gen memo.
 
@@ -21,6 +21,7 @@ from heisvir.algebra import Q, basis_window, d, gen_str, I, Z1
 from heisvir.errors import UnsupportedGenerator
 from heisvir.modules import (
     EmbeddedModule,
+    FockModule,
     HWParams,
     IntermediateSeriesModule,
     ISParams,
@@ -45,6 +46,7 @@ MODULES = {
     "w_mu_kappa": lambda: WMuKappaModule(2, [1, Q(1, 2), 3], [2, 0, Q(-1, 3)]),
     "shifted": lambda: ShiftedTensorModule(HWParams(Q(2, 3), Q(5, 7), 1, Q(1, 3), 2), ISParams(Q(1, 2), Q(1, 3), 2)),
     "embedded": lambda: EmbeddedModule([1, 2], [3, Q(1, 2)], 2),
+    "fock": lambda: FockModule(Q(2, 3), Q(-1, 2), 5),
 }
 
 
