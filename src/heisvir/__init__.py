@@ -13,9 +13,9 @@ _EXPORTS = {
     "expr": "parse parse_lie parse_uea print_expr",
     "linsearch": "MatrixQ MembershipTester SearchResult maximal_submodule_gens nullspace shifted_membership "
     "singular_vectors weight_basis whittaker_vector_search",
-    "modules": "EmbeddedModule FockModule HWParams ISParams IntermediateSeriesModule ModuleVector OmegaModule "
-    "ShiftedTensorModule VermaModule WMuKappaModule WhittakerCharacter WhittakerModule act act_uea "
-    "embedded_action module_axiom_check phi_prime",
+    "modules": "EmbeddedModule FockModule IntermediateSeriesModule ModuleVector OmegaModule ShiftedTensorModule "
+    "VermaModule WMuKappaModule WhittakerModule act act_uea embedded_action module_axiom_check phi_prime",
+    "params": "HWParams ISParams WhittakerCharacter",
     "pbw": "UEAElement multiply negative_part_basis normal_form uea",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -13,7 +13,7 @@ import math
 
 from .algebra import Q, Record, basis_window, gen_str, lincomb, set_field, to_ints
 from .errors import NotNegativePart
-from .modules import ISParams, WhittakerCharacter, check_mu_kappa, phi_prime_value
+from .params import ISParams, WhittakerCharacter, check_mu_kappa
 from .pbw import UEAElement, in_negative_part, word_of
 
 
@@ -311,6 +311,7 @@ def whittaker_simplicity(char: WhittakerCharacter) -> SimplicityVerdict:
     cost does not grow with m; for z3 = 0 iff the top I-value is nonzero.
     """
     if char.z3 != 0:
+        from .modules import phi_prime_value  # deferred: the z3 = 0 verdict never loads modules
         e1 = 2 * char.z3 * phi_prime_value(char, 2 * char.m)
         e2 = char.z3 * phi_prime_value(char, 2 * char.m - 1)
         if e1 != 0 or e2 != 0:

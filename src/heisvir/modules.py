@@ -4,9 +4,10 @@ The Verma and Whittaker modules are induced modules: each is the
 straightening kernel pbw.LeftAction with its own subalgebra and character,
 so they share one algorithm with the PBW normal form.  The (mu, kappa)
 module is the Whittaker module on the polynomial subalgebra, and the shifted
-tensor acts through a Verma module and the intermediate series.  The rest
-(intermediate series, Fock oscillator, the two shift-embedded families) act
-through explicit formulas.
+tensor acts through a Verma module and the intermediate series.  The Fock
+oscillator is the Heisenberg action of a Verma module on its I-only keys,
+with d(k) acting by the Sugawara element S(k).  The rest (intermediate
+series, the two shift-embedded families) act through explicit formulas.
 Vectors of every variant are ModuleVectors, the sparse-vector core of
 algebra.SparseVector tied to their module.  Each variant owns its basis
 keys: act_gen acts on them, key_str names them, parse_key reads the vector a
@@ -34,18 +35,15 @@ from itertools import combinations_with_replacement
 from .algebra import (
     Q,
     Generator,
-    Record,
     SparseVector,
     basis_window,
     bracket_gens,
     d,
-    gen_order_key,
     gen_str,
     gen_weight,
     is_generator,
     lie,
     lincomb,
-    set_field,
     to_ints,
 )
 from .errors import (
@@ -54,6 +52,7 @@ from .errors import (
     NeedNonzeroZ3,
     UnsupportedGenerator,
 )
+from .params import HWParams, ISParams, WhittakerCharacter, check_mu_kappa
 from .pbw import (
     Action,
     LeftAction,
@@ -66,76 +65,7 @@ from .pbw import (
     mono_str,
     mono_weight,
     negative_part_basis,
-    word_of,
 )
-
-
-class HWParams(Record):
-    """Highest weight data (I0, d0, z1, z2, z3 scalars)."""
-
-    __slots__ = ("i0", "d0", "z1", "z2", "z3")
-
-    def __init__(self, i0=Q(0), d0=Q(0), z1=Q(0), z2=Q(0), z3=Q(0)):
-        set_field(self, "i0", Q(i0))
-        set_field(self, "d0", Q(d0))
-        set_field(self, "z1", Q(z1))
-        set_field(self, "z2", Q(z2))
-        set_field(self, "z3", Q(z3))
-
-
-class ISParams(Record):
-    """Intermediate-series data (a, b, F)."""
-
-    __slots__ = ("a", "b", "F")
-
-    def __init__(self, a=Q(0), b=Q(0), F=Q(0)):
-        set_field(self, "a", Q(a))
-        set_field(self, "b", Q(b))
-        set_field(self, "F", Q(F))
-
-
-class WhittakerCharacter:
-    """Character data for the order-m Whittaker construction.
-
-    Free data: the values on d(m)..d(2m), I(0)..I(m) and z1, z2, z3.  The
-    values on d(k) for k > 2m and I(k) for k > m are forced to zero because
-    those generators are commutators inside the subalgebra.
-    """
-
-    def __init__(self, m, d_vals=None, i_vals=None, z1=0, z2=0, z3=0):
-        m = int(m)
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.m = m
-        self.d_vals = {int(k): Q(v) for k, v in (d_vals or {}).items()}
-        self.i_vals = {int(k): Q(v) for k, v in (i_vals or {}).items()}
-        for k in self.d_vals:
-            if not (m <= k <= 2 * m):
-                raise ValueError("d-values live on the window m..2m")
-        for k in self.i_vals:
-            if not (0 <= k <= m):
-                raise ValueError("I-values live on the window 0..m")
-        self.z1 = Q(z1)
-        self.z2 = Q(z2)
-        self.z3 = Q(z3)
-
-    def d_val(self, k: int) -> Q:
-        if k < self.m:
-            raise ValueError("d(%d) is outside the character domain" % k)
-        return self.d_vals.get(k, Q(0)) if k <= 2 * self.m else Q(0)
-
-    def i_val(self, k: int) -> Q:
-        if k < 0:
-            raise ValueError("I(%d) is outside the character domain" % k)
-        return self.i_vals.get(k, Q(0)) if k <= self.m else Q(0)
-
-    def value(self, g: Generator) -> Q:
-        kind, n = g
-        if kind == "z":
-            return (self.z1, self.z2, self.z3)[n - 1]
-        if kind == "I":
-            return self.i_val(n)
-        return self.d_val(n)
 
 
 def oscillator_charge(z2, z3) -> Q:
@@ -143,27 +73,29 @@ def oscillator_charge(z2, z3) -> Q:
     return 1 - 12 * Q(z2) ** 2 / Q(z3)
 
 
-def sugawara(k: int, z2, z3, indices) -> list:
-    """The Sugawara element S(k) = -(1/(2 z3)) sum_i :I(-i) I(i+k): + (k+1) (z2/z3) I(k),
-    its quadratic sum over i in indices, as (coefficient, word) terms with the
-    linear one last; a word lists generators in normal order, the larger index
-    on the right (applied first).  d(k) acts on the Fock module by S(k)."""
+def sugawara(k: int, z2, z3, reach: int) -> list:
+    """The Sugawara element S(k) = -(1/(2 z3)) sum_i :I(-i) I(i+k): + (k+1) (z2/z3) I(k)
+    on a vector of the given reach (>= 0), one that I(n) kills for every n > reach,
+    as (coefficient, word) terms; a word lists generators in normal order, the
+    larger index on the right (applied first).  Only the terms whose first factor
+    can act are listed: the quadratic ones for -reach <= i <= reach - k and then
+    the linear one if k <= reach, so there is none for k > 2 reach."""
     q = Q(-1, 2) / z3
-    terms = [(q, (("I", min(-i, i + k)), ("I", max(-i, i + k)))) for i in indices]
-    terms.append(((k + 1) * Q(z2) / z3, (("I", k),)))
+    terms = [(q, (("I", min(-i, i + k)), ("I", max(-i, i + k)))) for i in range(-reach, reach - k + 1)]
+    if k <= reach:
+        terms.append(((k + 1) * Q(z2) / z3, (("I", k),)))
     return terms
 
 
 def phi_prime_value(char: WhittakerCharacter, k: int) -> Q:
-    """phi'(d(k)) = phi(d(k)) - S(k)(phi) for m <= k <= 2m.  A word of S(k) acts on
-    the cyclic vector by its I-values if its indices lie in 0..m and kills it
-    otherwise, so only the pairs with -m <= i <= m-k are read, and I(k) at k = m."""
+    """phi'(d(k)) = phi(d(k)) - S(k)(phi) for m <= k <= 2m.  The cyclic vector has
+    reach m, and for k >= m every index of the terms left at that reach lies in
+    0..m, so each word acts on it by its I-values."""
     if char.z3 == 0:
         raise NeedNonzeroZ3("phi_prime needs a nonzero z3 value")
     value = char.d_val(k)
-    for c, word in sugawara(k, char.z2, char.z3, range(-char.m, char.m - k + 1)):
-        if all(n <= char.m for _, n in word):
-            value -= c * math.prod(char.i_val(n) for _, n in word)
+    for c, word in sugawara(k, char.z2, char.z3, char.m):
+        value -= c * math.prod(char.i_val(n) for _, n in word)
     return value
 
 
@@ -174,19 +106,6 @@ def phi_prime(char: WhittakerCharacter) -> WhittakerCharacter:
     phi(I(k)) = 0 past m, and z1' = z1 - (1 - 12 z2^2/z3)."""
     d_vals = {k: phi_prime_value(char, k) for k in range(char.m, 2 * char.m + 1)}
     return WhittakerCharacter(char.m, d_vals, z1=char.z1 - oscillator_charge(char.z2, char.z3))
-
-
-def check_mu_kappa(r, mu, kappa):
-    """(r, mu, kappa) with r >= 1, mu indexed r..2r and kappa indexed 0..r,
-    the entries read as rationals; raises ValueError otherwise."""
-    r = int(r)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    mu = [Q(v) for v in mu]
-    kappa = [Q(v) for v in kappa]
-    if len(mu) != r + 1 or len(kappa) != r + 1:
-        raise ValueError("mu has entries r..2r and kappa has entries 0..r")
-    return r, mu, kappa
 
 
 def gen_binom(n: int, k: int) -> Q:
@@ -492,64 +411,37 @@ class WMuKappaModule(WhittakerModule):
 
 
 class FockModule(MonomialModule):
-    """Highest weight Heisenberg module extended by the quadratic action.
+    """The oscillator module: the Heisenberg Verma module extended by S(k).
 
-    Basis keys are monomials in I(-j), j >= 1, on the vacuum.  The z-family
-    acts by scalars (z1 by oscillator_charge), I(n) by the Heisenberg rules
-    and d(k) by the Sugawara element.
-
-    Truncation of the quadratic sum: on a vector of total I-degree N only the
-    window i in [-N-|k|-1, N+|k|+1] can contribute, because outside it the
-    first-applied (larger-index) factor has index > N and already kills every
-    monomial whose parts are bounded by N.
+    Basis keys are monomials in I(-j), j >= 1, on the vacuum.  I(n) and the
+    z-family act as on the I-only keys of the Verma module of highest weight
+    (i0, 0, oscillator_charge(z2, z3), z2, z3), where I(n) straightens only
+    through [I(n), I(-n)] = n z3; d(k) acts by the Sugawara element, whose
+    reach on a key is its degree N, as I(n) kills the key for n > N.
     """
 
     name = "fock"
 
     def __init__(self, i0, z2, z3):
-        self.i0 = Q(i0)
-        self.z2 = Q(z2)
-        self.z3 = Q(z3)
-        if self.z3 == 0:
+        if Q(z3) == 0:
             raise NeedNonzeroZ3("the oscillator construction needs z3 != 0")
-        self.z1 = oscillator_charge(self.z2, self.z3)
+        self.heisenberg = VermaModule(HWParams(i0, 0, oscillator_charge(z2, z3), z2, z3))
         self._memo = {}
 
-    def _heis(self, n: int, key: Monomial):
-        """Action of I(n) on a basis monomial (dict key -> coefficient)."""
-        if n < 0:
-            word = tuple(sorted(word_of(key) + (("I", n),), key=gen_order_key))
-            return {mono_of_sorted_word(word): Q(1)}
-        if n == 0:
-            return {key: self.i0} if self.i0 else {}
-        for idx, (g, e) in enumerate(key):
-            if g == ("I", -n):
-                smaller = key[:idx] + (((g, e - 1),) if e > 1 else ()) + key[idx + 1 :]
-                return {smaller: Q(e * n) * self.z3}
-        return {}
-
-    def d_action(self, k: int, key: Monomial, extra: int = 0):
-        """Action of d(k) by the Sugawara element, its quadratic sum truncated.
-
-        extra widens the summation window; the result must not depend on it
-        (tested by doubling the window).
-        """
-        n_deg = -mono_weight(key)
-        bound = n_deg + abs(k) + 1 + extra
+    def d_action(self, k: int, key: Monomial):
+        """Action of d(k) by the Sugawara terms that can act on the key."""
+        hw = self.heisenberg.hw
         start = (1, {key: 1})
-        terms = sugawara(k, self.z2, self.z3, range(-bound, bound + 1))
+        terms = sugawara(k, hw.z2, hw.z3, -mono_weight(key))
         den = math.lcm(*[c.denominator for c, _ in terms])
         folds = [(c.numerator * (den // c.denominator), self.apply([(g, 1) for g in word], start)) for c, word in terms]
         return lincomb(folds, den)
 
     @_memoized
     def act_gen(self, g: Generator, key: Monomial):
-        kind, n = g
-        if kind == "z":
-            return to_ints({key: (self.z1, self.z2, self.z3)[n - 1]})
-        if kind == "I":
-            return to_ints(self._heis(n, key))
-        return self.d_action(n, key)
+        if g[0] == "d":
+            return self.d_action(g[1], key)
+        return self.heisenberg.act_gen(g, key)
 
     def degree_keys(self, deg):
         return negative_part_basis(deg, restrict=lambda g: g[0] == "I")

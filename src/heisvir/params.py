@@ -1,20 +1,101 @@
-"""Parameter files: one `key = value` line each, rational values.
+"""Module parameters: the value classes, and the files and inline text that name them.
 
+HWParams, ISParams, WhittakerCharacter and check_mu_kappa live here, not in
+modules, so a command that only reads parameters compiles no module code.
+A parameter file has one `key = value` line each, with rational values.
 Recognised keys: I0dot d0dot z1dot z2dot z3dot a b F lambda m r,
 phi.d<k> phi.I<k> phi.z<k>, mu<k> kappa<k>.  Unknown and duplicate keys are
 rejected.  The same syntax is accepted inline as `(key=value,key=value)`.
 """
-
 from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
 
+from .algebra import Q, Generator, Record, set_field
 from .errors import ParamError
-from .modules import HWParams, ISParams, WhittakerCharacter
 
-Q = Fraction
+
+class HWParams(Record):
+    """Highest weight data (I0, d0, z1, z2, z3 scalars)."""
+
+    __slots__ = ("i0", "d0", "z1", "z2", "z3")
+
+    def __init__(self, i0=Q(0), d0=Q(0), z1=Q(0), z2=Q(0), z3=Q(0)):
+        set_field(self, "i0", Q(i0))
+        set_field(self, "d0", Q(d0))
+        set_field(self, "z1", Q(z1))
+        set_field(self, "z2", Q(z2))
+        set_field(self, "z3", Q(z3))
+
+
+class ISParams(Record):
+    """Intermediate-series data (a, b, F)."""
+
+    __slots__ = ("a", "b", "F")
+
+    def __init__(self, a=Q(0), b=Q(0), F=Q(0)):
+        set_field(self, "a", Q(a))
+        set_field(self, "b", Q(b))
+        set_field(self, "F", Q(F))
+
+
+class WhittakerCharacter:
+    """Character data for the order-m Whittaker construction.
+
+    Free data: the values on d(m)..d(2m), I(0)..I(m) and z1, z2, z3.  The
+    values on d(k) for k > 2m and I(k) for k > m are forced to zero because
+    those generators are commutators inside the subalgebra.
+    """
+
+    def __init__(self, m, d_vals=None, i_vals=None, z1=0, z2=0, z3=0):
+        m = int(m)
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        self.m = m
+        self.d_vals = {int(k): Q(v) for k, v in (d_vals or {}).items()}
+        self.i_vals = {int(k): Q(v) for k, v in (i_vals or {}).items()}
+        for k in self.d_vals:
+            if not (m <= k <= 2 * m):
+                raise ValueError("d-values live on the window m..2m")
+        for k in self.i_vals:
+            if not (0 <= k <= m):
+                raise ValueError("I-values live on the window 0..m")
+        self.z1 = Q(z1)
+        self.z2 = Q(z2)
+        self.z3 = Q(z3)
+
+    def d_val(self, k: int) -> Q:
+        if k < self.m:
+            raise ValueError("d(%d) is outside the character domain" % k)
+        return self.d_vals.get(k, Q(0)) if k <= 2 * self.m else Q(0)
+
+    def i_val(self, k: int) -> Q:
+        if k < 0:
+            raise ValueError("I(%d) is outside the character domain" % k)
+        return self.i_vals.get(k, Q(0)) if k <= self.m else Q(0)
+
+    def value(self, g: Generator) -> Q:
+        kind, n = g
+        if kind == "z":
+            return (self.z1, self.z2, self.z3)[n - 1]
+        if kind == "I":
+            return self.i_val(n)
+        return self.d_val(n)
+
+
+def check_mu_kappa(r, mu, kappa):
+    """(r, mu, kappa) with r >= 1, mu indexed r..2r and kappa indexed 0..r,
+    the entries read as rationals; raises ValueError otherwise."""
+    r = int(r)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    mu = [Q(v) for v in mu]
+    kappa = [Q(v) for v in kappa]
+    if len(mu) != r + 1 or len(kappa) != r + 1:
+        raise ValueError("mu has entries r..2r and kappa has entries 0..r")
+    return r, mu, kappa
+
 
 _SIMPLE_KEYS = {"I0dot", "d0dot", "z1dot", "z2dot", "z3dot", "a", "b", "F", "lambda", "m", "r"}
 _PATTERNS = (

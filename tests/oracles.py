@@ -49,6 +49,11 @@
   locus), whittaker_witness (the second Whittaker vector there) and
   acts_by_character (direct action); the package decides simplicity from
   the Sugawara element instead.
+- sugawara_fold and whittaker_oscillator: S(k) on a key as the sum of the
+  words sugawara lists, folded one by one in Fractions, and the oscillator
+  module over the Heisenberg action of a Whittaker module, whose d(k) acts
+  by that fold; the package folds in integers over one denominator and
+  builds its oscillator over a Verma module only.
 - ad_weight, apply_sigma and grade: small helpers that only the tests use.
 """
 
@@ -77,8 +82,19 @@ from heisvir.criteria import ALL_INTEGERS
 from heisvir.errors import ExprError, LambdaZero, NotNegativePart
 from heisvir.expr import Gen, Num, Pow, Sum
 from heisvir.linsearch import _verified_kernel
-from heisvir.modules import Module, WhittakerModule, _require_support, act, gen_binom
-from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, word_of
+from heisvir.modules import (
+    Module,
+    MonomialModule,
+    WhittakerCharacter,
+    WhittakerModule,
+    _memoized,
+    _require_support,
+    act,
+    gen_binom,
+    oscillator_charge,
+    sugawara,
+)
+from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, negative_part_basis, word_of
 
 
 def axpy(out: dict, c, table) -> dict:
@@ -606,3 +622,47 @@ def acts_by_character(v) -> bool:
     char = v.module.character
     gens = [d(k) for k in range(char.m, 2 * char.m + 3)] + [I(k) for k in range(char.m + 3)]
     return all(act(g, v) == char.value(g) * v for g in gens)
+
+
+def sugawara_fold(module, k: int, z2, z3, reach: int, key):
+    """S(k) on a key of the module: the words sugawara lists at the reach,
+    each folded through module.apply and summed in Fractions."""
+    out = {}
+    for c, word in sugawara(k, z2, z3, reach):
+        out = axpy(out, c, to_fractions(module.apply([(g, 1) for g in word], (1, {key: 1}))))
+    return to_ints(out)
+
+
+class _WhittakerOscillator(MonomialModule):
+    """See whittaker_oscillator; z2 is the value the d(k) fold reads."""
+
+    name = "whittaker_oscillator"
+
+    def __init__(self, char):
+        z1 = oscillator_charge(char.z2, char.z3)
+        self.heisenberg = WhittakerModule(WhittakerCharacter(char.m, {}, char.i_vals, z1, char.z2, char.z3))
+        self.z2 = char.z2
+        self._memo = {}
+
+    @_memoized
+    def act_gen(self, g, key):
+        kind, n = g
+        if kind != "d":
+            return self.heisenberg.act_gen(g, key)
+        char = self.heisenberg.character
+        return sugawara_fold(self, n, self.z2, char.z3, max(-mono_weight(key), char.m), key)
+
+    def degree_keys(self, deg):
+        return negative_part_basis(deg, restrict=lambda g: g[0] == "I")
+
+
+def whittaker_oscillator(char):
+    """The oscillator module over the Heisenberg action of WhittakerModule(char), z3 != 0.
+
+    Keys are the I-only monomials on the cyclic vector w.  I(n) and the
+    z-family act as in the Whittaker module of char with its d-values dropped
+    and z1 = oscillator_charge(z2, z3); d(k) acts by sugawara_fold at the
+    reach max(N, m) of a key of degree N, since I(n) passes the key's
+    factors for n > N and kills w for n > m.
+    """
+    return _WhittakerOscillator(char)

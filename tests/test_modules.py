@@ -40,9 +40,10 @@ from heisvir.modules import (
     embedded_action,
     module_axiom_check,
     phi_prime,
+    phi_prime_value,
 )
 from heisvir.expr import parse_uea
-from heisvir.pbw import UEAElement, UNIT, multiply, negative_part_basis, straighten, uea, word_of
+from heisvir.pbw import UEAElement, UNIT, mono_weight, multiply, negative_part_basis, straighten, uea, word_of
 from oracles import (
     act_by_fractions,
     axpy,
@@ -51,6 +52,8 @@ from oracles import (
     act_uea_by_letters,
     example33_action,
     module_axiom_check_by_pairs,
+    sugawara_fold,
+    whittaker_oscillator,
 )
 from test_cli import ACT_CASES, _case_module
 from test_golden import CASES
@@ -132,8 +135,6 @@ def test_fock_weight_ladder():
     # the d(0)-eigenvalue drops by the total degree of the monomial
     F = FockModule(HW.i0, HW.z2, HW.z3)
     vac_eig = -HW.i0**2 / (2 * HW.z3) + HW.i0 * HW.z2 / HW.z3
-    from heisvir.pbw import mono_weight
-
     for deg in range(1, 5):
         for key in negative_part_basis(deg, restrict=lambda g: g[0] == "I"):
             v = F.vector(key)
@@ -141,12 +142,31 @@ def test_fock_weight_ladder():
 
 
 def test_fock_window_doubling():
+    # past the key's degree every further Sugawara term kills the key
+    z2, z3 = Q(-1, 2), Q(5)
+    F = FockModule(Q(2, 3), z2, z3)
+    for key in fock_window(3):
+        wide = -mono_weight(key) + 6
+        for k in range(-4, 5):
+            assert F.d_action(k, key) == sugawara_fold(F, k, z2, z3, wide + 2 * abs(k), key)
+
+
+@pytest.mark.parametrize("reach", range(4))
+def test_sugawara_lists_the_terms_whose_first_factor_acts(reach):
+    for k in range(-4, 2 * reach + 5):
+        wide = modules.sugawara(k, Q(1, 2), 3, reach + abs(k) + 3)
+        # a word's last letter acts first; I(n) kills a vector of this reach for n > reach
+        assert modules.sugawara(k, Q(1, 2), 3, reach) == [t for t in wide if t[1][-1][1] <= reach]
+    assert modules.sugawara(2 * reach, Q(1, 2), 3, reach)
+    for k in range(2 * reach + 1, 2 * reach + 5):
+        assert modules.sugawara(k, Q(1, 2), 3, reach) == []
+
+
+def test_fock_d_far_past_the_reach_is_zero():
+    # no Sugawara term can act, so none may be built: a window of ~2|k| terms would fold 200,003 zero words
     F = FockModule(Q(2, 3), Q(-1, 2), Q(5))
     for key in fock_window(3):
-        for k in range(-4, 5):
-            base = F.d_action(k, key)
-            wide = F.d_action(k, key, extra=6 + 2 * abs(k))
-            assert base == wide
+        assert not act(d(10**5), F.vector(key))
 
 
 def test_fock_axioms_small():
@@ -211,6 +231,63 @@ def test_phi_prime_reads_i_values_in_window_only():
 def test_phi_prime_requires_z3():
     with pytest.raises(NeedNonzeroZ3):
         phi_prime(WhittakerCharacter(1, {}, {}, z3=0))
+
+
+def _oscillator_characters():
+    """Eight seeded characters, m = 1 or 2, z2 and z3 nonzero; every fourth has phi(I(m)) = 0."""
+    rng = random.Random(29)
+
+    def q(nonzero=False):
+        num = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+        return Q(num, rng.randint(1, 3))
+
+    chars = []
+    for t in range(8):
+        m = 1 + t % 2
+        i_vals = {k: q() for k in range(m)}
+        i_vals[m] = 0 if t % 4 == 3 else q(nonzero=True)
+        d_vals = {k: q() for k in range(m, 2 * m + 1)}
+        chars.append(WhittakerCharacter(m, d_vals, i_vals, z1=q(), z2=q(nonzero=True), z3=q(nonzero=True)))
+    return chars
+
+
+OSCILLATOR_CHARACTERS = _oscillator_characters()
+
+
+def _phi_prime_identity_holds(module, char):
+    """Whether d(k) = S(k) acts on w by phi(d(k)) - phi'(d(k)) for m <= k <= 2m."""
+    w = module.cyclic()
+    window = range(char.m, 2 * char.m + 1)
+    return all(act(d(k), w) == (char.d_val(k) - phi_prime_value(char, k)) * w for k in window)
+
+
+@pytest.mark.parametrize("char", OSCILLATOR_CHARACTERS)
+def test_whittaker_oscillator_is_a_module(char):
+    M = whittaker_oscillator(char)
+    assert module_axiom_check(M, 3, M.window(3)) == []
+
+
+@pytest.mark.parametrize("char", OSCILLATOR_CHARACTERS)
+def test_whittaker_oscillator_acts_on_w_by_phi_prime(char):
+    # w is a Whittaker vector of the Sugawara action, whose character phi_prime splits off
+    M = whittaker_oscillator(char)
+    w = M.cyclic()
+    assert _phi_prime_identity_holds(M, char)
+    for k in range(2 * char.m + 1, 2 * char.m + 4):
+        assert not act(d(k), w)
+    for k in range(char.m + 3):
+        assert act(I(k), w) == char.i_val(k) * w
+
+
+def test_whittaker_oscillator_phi_prime_negative_control():
+    # negating z2 in the fold flips the linear term (m+1)(z2/z3) I(m) of S(m), which reads phi(I(m))
+    caught = []
+    for char in OSCILLATOR_CHARACTERS:
+        M = whittaker_oscillator(char)
+        M.z2 = -M.z2
+        caught.append(not _phi_prime_identity_holds(M, char))
+        assert caught[-1] == (char.i_val(char.m) != 0)
+    assert any(caught) and not all(caught)
 
 
 def test_omega_examples():
