@@ -7,6 +7,7 @@ Recognised keys: I0dot d0dot z1dot z2dot z3dot a b F lambda m r,
 phi.d<k> phi.I<k> phi.z<k>, mu<k> kappa<k>.  Unknown and duplicate keys are
 rejected.  The same syntax is accepted inline as `(key=value,key=value)`.
 """
+
 from __future__ import annotations
 
 import os

@@ -49,10 +49,10 @@
   locus), whittaker_witness (the second Whittaker vector there) and
   acts_by_character (direct action); the package decides simplicity from
   the Sugawara element instead.
-- sugawara_fold and whittaker_oscillator: S(k) on a key as the sum of the
-  words sugawara lists, folded one by one in Fractions, and the oscillator
-  module over the Heisenberg action of a Whittaker module, whose d(k) acts
-  by that fold; the package folds in integers over one denominator and
+- sugawara_fold and WhittakerOscillator: S(k) on a key as the sum of the
+  words sugawara lists, folded one by one in Fractions, and the Fock
+  construction over the Heisenberg action of a Whittaker module, whose d(k)
+  acts by that fold; the package folds in integers over one denominator and
   builds its oscillator over a Verma module only.
 - ad_weight, apply_sigma and grade: small helpers that only the tests use.
 """
@@ -83,18 +83,17 @@ from heisvir.errors import ExprError, LambdaZero, NotNegativePart
 from heisvir.expr import Gen, Num, Pow, Sum
 from heisvir.linsearch import _verified_kernel
 from heisvir.modules import (
+    FockModule,
     Module,
-    MonomialModule,
     WhittakerCharacter,
     WhittakerModule,
-    _memoized,
     _require_support,
     act,
     gen_binom,
     oscillator_charge,
     sugawara,
 )
-from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, negative_part_basis, word_of
+from heisvir.pbw import UEAElement, in_negative_part, mono_of_sorted_word, mono_weight, word_of
 
 
 def axpy(out: dict, c, table) -> dict:
@@ -633,8 +632,16 @@ def sugawara_fold(module, k: int, z2, z3, reach: int, key):
     return to_ints(out)
 
 
-class _WhittakerOscillator(MonomialModule):
-    """See whittaker_oscillator; z2 is the value the d(k) fold reads."""
+class WhittakerOscillator(FockModule):
+    """The oscillator module over the Heisenberg action of WhittakerModule(char), z3 != 0.
+
+    Keys are the I-only monomials on the cyclic vector w.  I(n) and the
+    z-family act as in the Whittaker module of char with its d-values dropped
+    and z1 = oscillator_charge(z2, z3); d(k) acts by sugawara_fold with the
+    value z2 (which a test may change) at the reach max(N, m) of a key of
+    degree N, since I(n) passes the key's factors for n > N and kills w for
+    n > m.
+    """
 
     name = "whittaker_oscillator"
 
@@ -644,25 +651,6 @@ class _WhittakerOscillator(MonomialModule):
         self.z2 = char.z2
         self._memo = {}
 
-    @_memoized
-    def act_gen(self, g, key):
-        kind, n = g
-        if kind != "d":
-            return self.heisenberg.act_gen(g, key)
+    def d_action(self, k, key):
         char = self.heisenberg.character
-        return sugawara_fold(self, n, self.z2, char.z3, max(-mono_weight(key), char.m), key)
-
-    def degree_keys(self, deg):
-        return negative_part_basis(deg, restrict=lambda g: g[0] == "I")
-
-
-def whittaker_oscillator(char):
-    """The oscillator module over the Heisenberg action of WhittakerModule(char), z3 != 0.
-
-    Keys are the I-only monomials on the cyclic vector w.  I(n) and the
-    z-family act as in the Whittaker module of char with its d-values dropped
-    and z1 = oscillator_charge(z2, z3); d(k) acts by sugawara_fold at the
-    reach max(N, m) of a key of degree N, since I(n) passes the key's
-    factors for n > N and kills w for n > m.
-    """
-    return _WhittakerOscillator(char)
+        return sugawara_fold(self, k, self.z2, char.z3, max(-mono_weight(key), char.m), key)

@@ -53,7 +53,7 @@ from oracles import (
     example33_action,
     module_axiom_check_by_pairs,
     sugawara_fold,
-    whittaker_oscillator,
+    WhittakerOscillator,
 )
 from test_cli import ACT_CASES, _case_module
 from test_golden import CASES
@@ -263,14 +263,14 @@ def _phi_prime_identity_holds(module, char):
 
 @pytest.mark.parametrize("char", OSCILLATOR_CHARACTERS)
 def test_whittaker_oscillator_is_a_module(char):
-    M = whittaker_oscillator(char)
+    M = WhittakerOscillator(char)
     assert module_axiom_check(M, 3, M.window(3)) == []
 
 
 @pytest.mark.parametrize("char", OSCILLATOR_CHARACTERS)
 def test_whittaker_oscillator_acts_on_w_by_phi_prime(char):
     # w is a Whittaker vector of the Sugawara action, whose character phi_prime splits off
-    M = whittaker_oscillator(char)
+    M = WhittakerOscillator(char)
     w = M.cyclic()
     assert _phi_prime_identity_holds(M, char)
     for k in range(2 * char.m + 1, 2 * char.m + 4):
@@ -283,7 +283,7 @@ def test_whittaker_oscillator_phi_prime_negative_control():
     # negating z2 in the fold flips the linear term (m+1)(z2/z3) I(m) of S(m), which reads phi(I(m))
     caught = []
     for char in OSCILLATOR_CHARACTERS:
-        M = whittaker_oscillator(char)
+        M = WhittakerOscillator(char)
         M.z2 = -M.z2
         caught.append(not _phi_prime_identity_holds(M, char))
         assert caught[-1] == (char.i_val(char.m) != 0)
